@@ -38,9 +38,9 @@
 // (after writing -out) when its own best route time exceeds the
 // committed budget, or when parallel_speedup falls below
 // 1.0 on a host with 4+ CPUs; CI runs
-// `benchpipe -gate BENCH_pipeline.json -out BENCH_pipeline.json` so a
-// >20% route-stage regression against the committed record fails the
-// build.
+// `benchpipe -gate BENCH_pipeline.json -out <temp file>` so a >20%
+// route-stage regression against the committed record fails the build
+// without the run replacing that record.
 //
 // Usage:
 //

@@ -4,8 +4,7 @@
 // Usage:
 //
 //	eureka [-u] [-d] [-r] [-l] [-s] [-noclaims] [-route-order shortest|design]
-//	       [-route-window on|off] [-o out.esc] graphic-file net-list-file
-//	       [call-file] [io-file]
+//	       [-o out.esc] graphic-file net-list-file [call-file] [io-file]
 //
 // The graphic file is an ESCHER diagram holding the placement and any
 // prerouted nets; the net-list file gives the connection rules
@@ -46,8 +45,6 @@ func run() error {
 	noclaims := flag.Bool("noclaims", false, "disable the claimpoint extension")
 	routeOrder := flag.String("route-order", "shortest",
 		"net routing order: shortest (default, §7 extension) or design (the paper's order)")
-	routeWindow := flag.String("route-window", "on",
-		"bounded routing search windows: on (default) or off (full-plane, results identical)")
 	ripup := flag.Bool("ripup", false, "rip-up-and-reroute pass for failed nets (extension)")
 	routeWorkers := flag.Int("route-workers", 0,
 		"speculative routing workers (0/1 = sequential; results are byte-identical)")
@@ -96,15 +93,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	noWindow, err := route.ParseWindow(*routeWindow)
-	if err != nil {
-		return err
-	}
 	ropts := route.Options{
 		Claimpoints:        !*noclaims,
 		SwapObjective:      *s,
 		OrderShortestFirst: shortest,
-		NoWindow:           noWindow,
 		RipUp:              *ripup,
 		Prerouted:          pre.PreroutedFor(dsn),
 	}

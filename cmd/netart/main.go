@@ -11,8 +11,7 @@
 //
 // Render flags: -ascii (print a character rendering), -svg FILE,
 // -esc FILE (ESCHER diagram). Placement knobs match pablo (-p -b -c -e
-// -i -s); routing knobs match eureka (-swap, -noclaims, -route-order,
-// -route-window).
+// -i -s); routing knobs match eureka (-swap, -noclaims, -route-order).
 // -trace prints the per-stage span tree (wall time, outcome, stage
 // attributes such as partition counts and wavefront expansions) to
 // stderr after generation.
@@ -54,8 +53,6 @@ func run() error {
 	noclaims := flag.Bool("noclaims", false, "disable the claimpoint extension")
 	routeOrder := flag.String("route-order", "shortest",
 		"net routing order: shortest (default, §7 extension) or design (the paper's order)")
-	routeWindow := flag.String("route-window", "on",
-		"bounded routing search windows: on (default) or off (full-plane, results identical)")
 	ripup := flag.Bool("ripup", false, "rip-up-and-reroute pass for failed nets (extension)")
 	routeWorkers := flag.Int("route-workers", 0,
 		"speculative routing workers (0/1 = sequential; results are byte-identical)")
@@ -114,10 +111,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	noWindow, err := route.ParseWindow(*routeWindow)
-	if err != nil {
-		return err
-	}
 	opts := gen.Options{
 		Place: place.Options{
 			PartSize: *p, BoxSize: *b, MaxConnections: *c,
@@ -127,7 +120,6 @@ func run() error {
 			Claimpoints:        !*noclaims,
 			SwapObjective:      *swap,
 			OrderShortestFirst: shortest,
-			NoWindow:           noWindow,
 			RipUp:              *ripup,
 		},
 		RouteWorkers: *routeWorkers,

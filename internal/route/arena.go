@@ -2,44 +2,20 @@ package route
 
 import "netart/internal/geom"
 
-// This file implements the bounded-work machinery of the routing hot
-// path (DESIGN.md §5i):
+// This file holds the routing hot path's scratch arena and the small
+// inclusive-box helpers the engines share (DESIGN.md §5i).
 //
-//   - search windows: every connection search is confined to the
-//     bounding box of its interesting points (source terminal, target
-//     hints, the net's laid geometry) plus an adaptive margin. A failed
-//     windowed attempt widens the margin and retries, ending at the
-//     full plane, so windowing can never lose a routable connection —
-//     it only bounds the work of the common case, where the minimum
-//     bend path lives near the terminals' bounding box.
-//   - searchArena: the per-router scratch arena the line-expansion
-//     engine draws its wavefront state from. The covered bitmap is
-//     epoch-stamped so "clearing" it between searches is one counter
-//     increment; actives are bump-allocated from slabs; the per-expand
-//     advance/crossing buffers and the wavefront slices are reused.
-//     Together these drop the router's per-net allocation cost to near
-//     zero (the seed allocated an O(plane) covered array per search).
+// searchArena is the per-router scratch the line-expansion engine draws
+// its wavefront state from. The covered bitmap is epoch-stamped so
+// "clearing" it between searches is one counter increment; actives are
+// bump-allocated from slabs; the per-sweep advance/crossing buffers and
+// the wavefront slices are reused. Together these drop the router's
+// per-net allocation cost to near zero (the seed allocated an O(plane)
+// covered array per search).
 //
-// Windows use inclusive point semantics throughout — both Min and Max
-// are valid points, exactly like Plane.Bounds (and unlike geom.Rect's
-// half-open cell reading), because windows are clamped subsets of the
-// plane's point grid.
-
-// winContains reports whether p lies inside the inclusive point
-// rectangle r.
-func winContains(r geom.Rect, p geom.Point) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
-// winExpand grows the inclusive rect by m points on every side, clamped
-// to bounds.
-func winExpand(r geom.Rect, m int, bounds geom.Rect) geom.Rect {
-	r.Min.X = geom.Max(r.Min.X-m, bounds.Min.X)
-	r.Min.Y = geom.Max(r.Min.Y-m, bounds.Min.Y)
-	r.Max.X = geom.Min(r.Max.X+m, bounds.Max.X)
-	r.Max.Y = geom.Min(r.Max.Y+m, bounds.Max.Y)
-	return r
-}
+// Boxes use inclusive point semantics throughout — both Min and Max are
+// valid points, exactly like Plane.Bounds (and unlike geom.Rect's
+// half-open cell reading).
 
 // ptBox returns the degenerate inclusive rect holding exactly p.
 func ptBox(p geom.Point) geom.Rect { return geom.Rect{Min: p, Max: p} }
@@ -73,53 +49,6 @@ func manhattanToBox(p geom.Point, r geom.Rect) int {
 	return d
 }
 
-// Window widening schedule: the initial margin around the terminals'
-// bounding box, and the factor each retry widens it by before the final
-// full-plane attempt. The margin is a pure performance knob — a windowed
-// outcome is only accepted when it is provably identical to the
-// unwindowed search (lineexp.go exact) and is re-run wider otherwise, so
-// the windowed≡full property battery (window_test.go) holds for any
-// margin; the margin merely tunes how often the ladder pays a retry.
-const (
-	winMargin0     = 20
-	winWidenFactor = 8
-)
-
-// winArea returns the point count of the inclusive rect.
-func winArea(r geom.Rect) int {
-	return (r.Max.X - r.Min.X + 1) * (r.Max.Y - r.Min.Y + 1)
-}
-
-// windows returns the widening schedule for one search whose interesting
-// points span bbox: the bbox plus the initial margin, then the widened
-// margin, then the full plane (deduplicated when clamping collapses
-// steps). A rung whose area is already most of the next rung's is
-// dropped — retrying at nearly the same size costs close to a full
-// duplicate sweep on failure while saving almost nothing on success.
-// Any schedule ending at the full plane preserves byte-identity (the
-// ladder only accepts provably exact outcomes), so pruning is purely a
-// performance decision. With Options.NoWindow the schedule is just the
-// full plane, reproducing the seed router's behavior.
-func (rt *router) windows(bbox geom.Rect) []geom.Rect {
-	full := rt.plane.Bounds
-	if rt.opts.NoWindow {
-		return []geom.Rect{full}
-	}
-	rungs := [...]geom.Rect{
-		winExpand(bbox, winMargin0, full),
-		winExpand(bbox, winMargin0*winWidenFactor, full),
-		full,
-	}
-	out := make([]geom.Rect, 0, len(rungs))
-	for i, r := range rungs {
-		if i < len(rungs)-1 && winArea(r)*4 >= winArea(rungs[i+1])*3 {
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
 // coveredStampBits is the number of low bits of a covered word holding
 // the per-cell search state — four direction bits plus the target bit;
 // the rest is the search-epoch stamp.
@@ -143,7 +72,7 @@ type searchArena struct {
 	covered []uint32
 	gen     uint32
 
-	// advance and crossAdv/crossOff are the per-expand escape profile
+	// advance and crossAdv/crossOff are the per-sweep escape profile
 	// buffers: advance[k] is how far segment cell k's escape travelled,
 	// and crossAdv[crossOff[k]:crossOff[k+1]] lists the advance values
 	// (in travel order) at which that escape crossed a foreign wire.

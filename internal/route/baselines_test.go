@@ -13,7 +13,7 @@ func TestHightowerStraight(t *testing.T) {
 	a, b := geom.Pt(2, 5), geom.Pt(15, 5)
 	_ = pl.SetTerminal(a, 1)
 	_ = pl.SetTerminal(b, 1)
-	segs, ok := hightowerSearch(pl, 1, a, b, pl.Bounds)
+	segs, ok := hightowerSearch(pl, 1, a, b)
 	if !ok {
 		t.Fatal("straight connection not found")
 	}
@@ -28,7 +28,7 @@ func TestHightowerLShape(t *testing.T) {
 	a, b := geom.Pt(2, 2), geom.Pt(15, 12)
 	_ = pl.SetTerminal(a, 1)
 	_ = pl.SetTerminal(b, 1)
-	segs, ok := hightowerSearch(pl, 1, a, b, pl.Bounds)
+	segs, ok := hightowerSearch(pl, 1, a, b)
 	if !ok {
 		t.Fatal("L connection not found")
 	}
@@ -44,7 +44,7 @@ func TestHightowerAroundObstacle(t *testing.T) {
 	a, b := geom.Pt(2, 5), geom.Pt(25, 5)
 	_ = pl.SetTerminal(a, 1)
 	_ = pl.SetTerminal(b, 1)
-	segs, ok := hightowerSearch(pl, 1, a, b, pl.Bounds)
+	segs, ok := hightowerSearch(pl, 1, a, b)
 	if !ok {
 		t.Fatal("detour not found")
 	}
@@ -62,7 +62,7 @@ func TestHightowerCanFail(t *testing.T) {
 	a, b := geom.Pt(2, 2), geom.Pt(12, 12)
 	_ = pl.SetTerminal(a, 1)
 	_ = pl.SetTerminal(b, 1)
-	if _, ok := hightowerSearch(pl, 1, a, b, pl.Bounds); ok {
+	if _, ok := hightowerSearch(pl, 1, a, b); ok {
 		t.Error("found a path into a sealed pocket")
 	}
 }
@@ -74,7 +74,7 @@ func TestLeeLengthObjective(t *testing.T) {
 	_ = pl.SetTerminal(a, 1)
 	_ = pl.SetTerminal(b, 1)
 	dirs := []geom.Dir{geom.Left, geom.Right, geom.Up, geom.Down}
-	segs, ok := leeSearch(pl, 1, a, dirs, func(q geom.Point) bool { return q == b }, LengthFirst, pl.Bounds, pl.Bounds, nil)
+	segs, ok := leeSearch(pl, 1, a, dirs, func(q geom.Point) bool { return q == b }, LengthFirst, pl.Bounds, nil)
 	if !ok {
 		t.Fatal("no path")
 	}

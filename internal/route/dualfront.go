@@ -43,26 +43,18 @@ type joint struct {
 }
 
 // dualSearch runs the alternating two-front expansion between two
-// terminal points, confined to the inclusive window win (the caller's
-// widen-and-retry ladder supplies the schedule). On success the
-// combined path runs from the A start to the B start.
-//
-// The third result reports exactness: the outcome is provably what the
-// unwindowed search would have produced. The joint construction couples
-// the two fronts (a clip on either side can change the other front's
-// contact set), so the rule is conservative — exact iff neither front
-// was clipped at all. The full-plane rung clips nothing, terminating
-// the caller's ladder.
+// terminal points. On success the combined path runs from the A start
+// to the B start.
 //
 // Each front owns a private arena: the two coverage maps must stay
 // independent (both fronts may sweep the same cell), so the fronts
 // cannot share one epoch-stamped array.
 func dualSearch(pl *Plane, net int32, fromA geom.Point, dirsA []geom.Dir,
-	fromB geom.Point, dirsB []geom.Dir, swap bool, win geom.Rect,
-	stats *SearchStats, cancel *cancelCheck) ([]Segment, bool, bool) {
+	fromB geom.Point, dirsB []geom.Dir, swap bool,
+	stats *SearchStats, cancel *cancelCheck) ([]Segment, bool) {
 
 	mk := func(from geom.Point, dirs []geom.Dir) *frontState {
-		ls := newLineSearch(pl, net, func(geom.Point) bool { return false }, swap, win, nil)
+		ls := newLineSearch(pl, net, func(geom.Point) bool { return false }, swap, nil)
 		ls.stats = stats
 		ls.cancel = cancel
 		f := &frontState{search: ls, owner: map[int]cellOwner{}}
@@ -84,7 +76,7 @@ func dualSearch(pl *Plane, net int32, fromA geom.Point, dirsA []geom.Dir,
 	var sols []joint
 	for len(fa.wave) > 0 || len(fb.wave) > 0 {
 		if cancel.poll() {
-			return nil, false, true // abandoned search: caller checks ctx.Err()
+			return nil, false // abandoned search: caller checks ctx.Err()
 		}
 		if len(fa.wave) > 0 {
 			expandFrontWave(pl, fa, fb, &sols, true, stats)
@@ -99,9 +91,8 @@ func dualSearch(pl *Plane, net int32, fromA geom.Point, dirsA []geom.Dir,
 			}
 		}
 	}
-	exact := fa.search.clipWave == noClip && fb.search.clipWave == noClip
 	if len(sols) == 0 {
-		return nil, false, exact
+		return nil, false
 	}
 	best := sols[0]
 	for _, s := range sols[1:] {
@@ -109,7 +100,7 @@ func dualSearch(pl *Plane, net int32, fromA geom.Point, dirsA []geom.Dir,
 			best = s
 		}
 	}
-	return best.segs, true, exact
+	return best.segs, true
 }
 
 func betterJoint(a, b joint, swap bool) bool {

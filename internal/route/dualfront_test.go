@@ -24,10 +24,10 @@ func TestDualFrontMatchesSingleFront(t *testing.T) {
 		}
 		allDirs := []geom.Dir{geom.Left, geom.Right, geom.Up, geom.Down}
 
-		single := newLineSearch(pl, 1, func(q geom.Point) bool { return q == b }, false, pl.Bounds, nil)
+		single := newLineSearch(pl, 1, func(q geom.Point) bool { return q == b }, false, nil)
 		sSegs, sOK := single.run(terminalActives(a, allDirs))
 
-		dSegs, dOK, _ := dualSearch(pl, 1, a, allDirs, b, allDirs, false, pl.Bounds, &stats, nil)
+		dSegs, dOK := dualSearch(pl, 1, a, allDirs, b, allDirs, false, &stats, nil)
 
 		if sOK != dOK {
 			t.Fatalf("iter %d: single ok=%v dual ok=%v (a=%v b=%v)", iter, sOK, dOK, a, b)
@@ -96,7 +96,7 @@ func TestDualFrontSearchesLess(t *testing.T) {
 
 	pl1, a1, b1 := mkPlane()
 	var sStats SearchStats
-	single := newLineSearch(pl1, 1, func(q geom.Point) bool { return q == b1 }, false, pl1.Bounds, nil)
+	single := newLineSearch(pl1, 1, func(q geom.Point) bool { return q == b1 }, false, nil)
 	single.stats = &sStats
 	if _, ok := single.run(terminalActives(a1, allDirs)); !ok {
 		t.Fatal("single failed")
@@ -104,7 +104,7 @@ func TestDualFrontSearchesLess(t *testing.T) {
 
 	pl2, a2, b2 := mkPlane()
 	var dStats SearchStats
-	if _, ok, _ := dualSearch(pl2, 1, a2, allDirs, b2, allDirs, false, pl2.Bounds, &dStats, nil); !ok {
+	if _, ok := dualSearch(pl2, 1, a2, allDirs, b2, allDirs, false, &dStats, nil); !ok {
 		t.Fatal("dual failed")
 	}
 	if dStats.Cells >= sStats.Cells {

@@ -21,16 +21,14 @@ type htLine struct {
 	parent *htLine
 }
 
-// hightowerSearch attempts a point-to-point connection, with escape
-// lines confined to the inclusive window win. It returns ok false both
-// when no path exists and when the heuristic gives up (the caller's
-// widen-and-retry ladder then enlarges the window).
-func hightowerSearch(pl *Plane, net int32, from, to geom.Point, win geom.Rect) ([]Segment, bool) {
+// hightowerSearch attempts a point-to-point connection. It returns ok
+// false both when no path exists and when the heuristic gives up.
+func hightowerSearch(pl *Plane, net int32, from, to geom.Point) ([]Segment, bool) {
 	passable := func(p geom.Point, horizontal bool) bool {
 		if p == to || p == from {
 			return true
 		}
-		if !winContains(win, p) || pl.Blocked(p) || pl.Bend(p) {
+		if pl.Blocked(p) || pl.Bend(p) {
 			return false
 		}
 		if cl := pl.Claimpoint(p); cl != 0 && cl != net {

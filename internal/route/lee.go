@@ -104,16 +104,14 @@ func (q *leeQueue) Pop() any {
 // (cost), may never overlap parallel ones, stop at modules, bends,
 // claims and the plane border, and cannot turn on a crossing cell.
 //
-// The expansion is confined to the inclusive window win (targets on the
-// first ring outside still connect, like the line engine) and, once a
-// goal is known, A*-pruned: every target point lies inside tbox, so
-// manhattanToBox(p, tbox) is an admissible lower bound on the remaining
-// wire length from p. A state whose cost plus that bound cannot rank
+// Once a goal is known, the expansion is A*-pruned: every target point
+// lies inside tbox, so manhattanToBox(p, tbox) is an admissible lower
+// bound on the remaining wire length from p. A state whose cost plus that bound cannot rank
 // strictly better than the goal can never improve it — cost components
 // only grow along a path and the lexicographic orders are translation
 // invariant — so it is dropped, at the pop and at the push.
 func leeSearch(pl *Plane, net int32, from geom.Point, dirs []geom.Dir,
-	target func(geom.Point) bool, obj Objective, win, tbox geom.Rect,
+	target func(geom.Point) bool, obj Objective, tbox geom.Rect,
 	cancel *cancelCheck) ([]Segment, bool) {
 
 	type visitKey struct {
@@ -186,7 +184,7 @@ func leeSearch(pl *Plane, net int32, from geom.Point, dirs []geom.Dir,
 		if target(np) {
 			return []Segment{{from, np}}, true
 		}
-		if !winContains(win, np) || !pl.InBounds(np) || stops(np, d) {
+		if !pl.InBounds(np) || stops(np, d) {
 			continue
 		}
 		cross := 0
@@ -237,7 +235,7 @@ func leeSearch(pl *Plane, net int32, from geom.Point, dirs []geom.Dir,
 				}
 				continue
 			}
-			if !winContains(win, np) || !pl.InBounds(np) || stops(np, nd) {
+			if !pl.InBounds(np) || stops(np, nd) {
 				continue
 			}
 			if crossingCell(np, nd) {

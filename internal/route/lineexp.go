@@ -75,49 +75,13 @@ type lineSearch struct {
 	pl     *Plane
 	net    int32
 	ar     *searchArena // covered marks + wavefront scratch; never nil
-	win    geom.Rect    // inclusive search window; escapes stop at its edge
 	target func(geom.Point) bool
-	marks  bool // target set precomputed as arena marks (setTargets)
+	marks  bool      // target set precomputed as arena marks (setTargets)
+	tbox   geom.Rect // inclusive bounding box of the target marks
 	sols   []solution
 	swap   bool         // -s: compare length before crossings
 	stats  *SearchStats // optional counters; nil disables
 	cancel *cancelCheck // optional cancellation; nil never cancels
-
-	// clipWave is the lowest wave at which an escape was cut short by
-	// the window edge (noClip if never): the cut cell was passable, so
-	// an unwindowed search would have swept on. solWave is the wave the
-	// solutions were found at (-1 on failure). Together they decide
-	// exactness — see exact().
-	clipWave int
-	solWave  int
-}
-
-// noClip marks a search whose escapes all stopped naturally (obstacle,
-// covered zone, wire) before the window edge.
-const noClip = 1 << 30
-
-// exact reports whether the search outcome is provably identical to an
-// unwindowed search from the same state. The window is a rectangle, so
-// a path that leaves it can only re-enter (and reach a target, which
-// always lies inside) after at least two further bends beyond the wave
-// where it crossed the edge. Hence:
-//
-//   - a solution at wave W is exact when no escape was clipped at wave
-//     <= W-2: every outside detour would finish at a wave > W, and the
-//     wave-W tie-break pool (crossings, then length) is identical to
-//     the unwindowed one;
-//   - a failed search is exact when no escape was clipped at all: the
-//     window never constrained the expansion, so the unwindowed search
-//     would have died out identically.
-//
-// Inexact outcomes are re-run by the caller on a wider window (ending
-// at the full plane, which clips nothing), making windowed ≡ unwindowed
-// a guarantee of the ladder rather than an empirical accident.
-func (s *lineSearch) exact() bool {
-	if s.solWave < 0 {
-		return s.clipWave == noClip
-	}
-	return s.clipWave >= s.solWave-1
 }
 
 // SearchStats counts the work the expansion engine performs — the
@@ -128,10 +92,12 @@ type SearchStats struct {
 	Searches int `json:"searches"`  // individual connection searches run
 	Waves    int `json:"waves"`     // wavefronts processed (one per bend level per search)
 	Actives  int `json:"actives"`   // active segments expanded
-	Cells    int `json:"cells"`     // escape-line cells swept
+	Cells    int `json:"cells"`     // cells visited, reach-probe and final-sweep visits included
 	MaxBends int `json:"max_bends"` // deepest wave that produced a solution
 	RipUps   int `json:"rip_ups"`   // failed nets the rip-up pass attempted to fix
-	Widened  int `json:"widened"`   // search-window widening retries (window.go)
+	// Widened is always 0: every search runs once, on the full plane.
+	// The field stays for the route_stats wire shape.
+	Widened int `json:"widened"`
 }
 
 func (st *SearchStats) addWave() {
@@ -159,21 +125,12 @@ const allDirBits = 0x0f
 // newLineSearch prepares one search epoch. A nil arena gets a private
 // one (used by callers without a router, like the dual-front fronts);
 // a shared arena is acquired here, expiring the previous search's marks.
-func newLineSearch(pl *Plane, net int32, target func(geom.Point) bool, swap bool, win geom.Rect, ar *searchArena) *lineSearch {
+func newLineSearch(pl *Plane, net int32, target func(geom.Point) bool, swap bool, ar *searchArena) *lineSearch {
 	if ar == nil {
 		ar = newSearchArena(len(pl.blocked))
 	}
 	ar.acquire()
-	return &lineSearch{
-		pl:       pl,
-		net:      net,
-		ar:       ar,
-		win:      win,
-		target:   target,
-		swap:     swap,
-		clipWave: noClip,
-		solWave:  -1,
-	}
+	return &lineSearch{pl: pl, net: net, ar: ar, target: target, swap: swap}
 }
 
 // setTargets precomputes the target set as arena marks: the given
@@ -184,14 +141,19 @@ func newLineSearch(pl *Plane, net int32, target func(geom.Point) bool, swap bool
 // laid, so the mark set equals the cells where the plane reports the
 // net's own wires — and since no other net can ever write those values,
 // dropping the plane reads keeps speculative read-set validation sound.
+// It also records the marks' bounding box, which confines the solution
+// wave's probe and sweep (run).
 func (s *lineSearch) setTargets(pts []geom.Point, tree []Segment) {
+	s.tbox = geom.Rect{Min: geom.Pt(1<<30, 1<<30), Max: geom.Pt(-1<<30, -1<<30)}
 	for _, p := range pts {
 		if s.pl.InBounds(p) {
 			s.ar.markTarget(s.pl.idx(p))
+			s.tbox = boxAdd(s.tbox, p)
 		}
 	}
 	for _, sg := range tree {
 		c := sg.Canon()
+		s.tbox = boxAdd(boxAdd(s.tbox, c.A), c.B)
 		for y := c.A.Y; y <= c.B.Y; y++ {
 			for x := c.A.X; x <= c.B.X; x++ {
 				s.ar.markTarget(s.pl.idx(geom.Pt(x, y)))
@@ -223,6 +185,13 @@ func terminalActives(p geom.Point, dirs []geom.Dir) []*active {
 // run processes waves in bend order until a wave produces solutions or
 // the frontier dies out. It returns the winning path as cleaned
 // segments ordered target→source.
+//
+// With a marked target set, a read-only probe (reaches) first decides
+// whether wave b touches a target at all. If it does, b is the solution
+// wave: only the escape lines that cross the target box are swept
+// (sweepFinal), in the usual active and cell order, and no next-wave
+// actives are built. The solution pool best() ranks is the one a sweep
+// of every active would find (DESIGN.md §5i).
 func (s *lineSearch) run(starts []*active) ([]Segment, bool) {
 	if len(starts) == 0 {
 		return nil, false
@@ -237,40 +206,127 @@ func (s *lineSearch) run(starts []*active) ([]Segment, bool) {
 		}
 	}
 	wave := starts
-	bends := 0
-	for len(wave) > 0 {
-		if bends >= s.clipWave+2 {
-			// Any solution from this wave on would be inexact (see
-			// exact): an outside detour through the wave-clipWave clip
-			// could tie or beat it. Stop the doomed search now and let
-			// the caller's ladder widen instead.
-			return nil, false
-		}
+	for bends := 0; len(wave) > 0; bends++ {
 		if s.cancel.poll() {
 			return nil, false // abandoned search: caller checks ctx.Err()
 		}
 		s.stats.addWave()
+		final := s.marks && s.reaches(wave)
 		// The two wavefront buffers ping-pong out of the arena: next
 		// never aliases wave (starts is the caller's, and consecutive
-		// waves use alternating buffers).
+		// waves use alternating buffers). A final wave leaves next empty,
+		// so a sweep cancelled before its first contact ends the search.
 		next := s.ar.waves[bends&1][:0]
 		for _, a := range wave {
+			if final {
+				s.sweepFinal(a)
+				continue
+			}
 			s.stats.addActive()
 			next = s.expand(a, next)
 		}
 		s.ar.waves[bends&1] = next[:0]
 		if len(s.sols) > 0 {
-			s.solWave = bends
 			if s.stats != nil && bends > s.stats.MaxBends {
 				s.stats.MaxBends = bends
 			}
-			best := s.best()
-			return cleanSegments(best.segs), true
+			return cleanSegments(s.best().segs), true
 		}
 		wave = next
-		bends++
 	}
 	return nil, false
+}
+
+// boxLines returns the cells lo..hi of a whose escape lines cross the
+// target box ahead of the segment, and the expansion-axis coordinate
+// just past the box's far edge, where those escapes may stop: no target
+// lies beyond it. lo > hi when no escape of a can reach the box.
+func (s *lineSearch) boxLines(a *active) (lo, hi, cut int) {
+	b := s.tbox
+	clo, chi, alo, ahi := b.Min.X, b.Max.X, b.Min.Y, b.Max.Y
+	if a.dir == geom.Left || a.dir == geom.Right {
+		clo, chi, alo, ahi = b.Min.Y, b.Max.Y, b.Min.X, b.Max.X
+	}
+	lo, hi = geom.Max(a.iv.Lo, clo), geom.Min(a.iv.Hi, chi)
+	if a.step() > 0 && ahi > a.index {
+		return lo, hi, ahi + 1
+	}
+	if a.step() < 0 && alo < a.index {
+		return lo, hi, alo - 1
+	}
+	return 1, 0, 0
+}
+
+// reaches is the solution-wave probe: it reports whether any escape of
+// the wave contacts a target, walking only the box lines (boxLines)
+// against the covered marks of earlier waves. It writes no mark, so it
+// ignores the marks the wave itself would make — which cannot decide
+// whether the wave has a contact (DESIGN.md §5i). Every read is noted
+// on a journaled plane: the probe's verdict is part of the search
+// outcome that speculative validation must cover.
+func (s *lineSearch) reaches(wave []*active) bool {
+	pl, ar := s.pl, s.ar
+	spec := pl.sp != nil && pl.sp.active
+	cells := 0
+	defer func() { s.stats.addCells(cells) }()
+	for _, a := range wave {
+		lo, hi, cut := s.boxLines(a)
+		didx, along, _, _ := s.axis(a)
+		dbit := uint32(dirBit(a.dir))
+		step := a.step()
+		for i := lo; i <= hi; i++ {
+			if s.cancel.tick() {
+				return false // abandoned: the full sweep's tick ends the wave
+			}
+			idx := pl.idx(a.pt(i, a.index))
+			for j := a.index + step; j != cut; j += step {
+				idx += didx
+				cells++
+				if spec {
+					pl.sp.note(int32(idx))
+				}
+				cw := ar.covered[idx]
+				if cw>>coveredStampBits != ar.gen {
+					cw = 0
+				}
+				if cw&targetBit != 0 {
+					return true
+				}
+				if cw&dbit != 0 || s.halts(pl.stops[idx], idx, along) {
+					break
+				}
+			}
+		}
+	}
+	return false
+}
+
+// sweepFinal sweeps active a of the solution wave: just its box lines,
+// each stopping at the box's far edge, with the normal covered marks.
+func (s *lineSearch) sweepFinal(a *active) {
+	if lo, hi, cut := s.boxLines(a); lo <= hi {
+		s.stats.addActive()
+		s.sweep(a, lo, hi, cut)
+	}
+}
+
+// halts reports whether an escape stops before entering plane index idx
+// with stop bits m: a blocked point (module, foreign terminal), a bend
+// of a routed net, a claimpoint of another net, or a wire running along
+// the escape (along is its stop bit): nets may cross, never overlap
+// (§5.3).
+func (s *lineSearch) halts(m uint8, idx int, along uint8) bool {
+	return m&(stopBlocked|stopBend|along) != 0 || m&stopClaim != 0 && s.pl.claim[idx] != s.net
+}
+
+// axis returns, for escapes in a's direction, the plane-index stride of
+// one step, the stop bits of wires along and across the escape, and the
+// net ids of the across wires (the crossable kind).
+func (s *lineSearch) axis(a *active) (didx int, along, acrossBit uint8, across []int32) {
+	if a.dir == geom.Up || a.dir == geom.Down {
+		return a.step() * s.pl.w, stopVWire, stopHWire, s.pl.hNet
+	}
+	return a.step(), stopHWire, stopVWire, s.pl.vNet
 }
 
 // best picks the winning solution of the current wave: minimum
@@ -293,64 +349,56 @@ func (s *lineSearch) best() solution {
 	return s.sols[0]
 }
 
-// expand implements EXPAND_SEGMENT with a per-cell sweep: every cell of
-// the active segment sends an escape line in the expansion direction
-// until it is stopped by the window edge, an obstacle, a previously
-// searched zone, or the target. The stop profile then yields the
-// perpendicular border segments, appended to out as the next wave
-// (NEW_ACTIVES).
+// expand implements EXPAND_SEGMENT: every cell of the active segment
+// sends an escape line in the expansion direction (sweep) until it is
+// stopped by the plane border, an obstacle, a previously searched zone,
+// or the target. The stop profile then yields the perpendicular border
+// segments, appended to out as the next wave (NEW_ACTIVES).
 func (s *lineSearch) expand(a *active, out []*active) []*active {
+	b := s.pl.Bounds
+	lo, hi := b.Min.X, b.Max.X
+	if a.dir == geom.Up || a.dir == geom.Down {
+		lo, hi = b.Min.Y, b.Max.Y
+	}
+	cut := hi + 1
+	if a.step() < 0 {
+		cut = lo - 1
+	}
+	advance, ok := s.sweep(a, a.iv.Lo, a.iv.Hi, cut)
+	if !ok {
+		return out // abandoned sweep; run's wave poll ends the search
+	}
+	return s.newActives(a, advance, s.ar.crossAdv, s.ar.crossOff, out)
+}
+
+// sweep runs the escapes of a's cells lo..hi in order, each until its
+// natural stop or the expansion-axis coordinate cut, marking the swept
+// cells covered and recording every target contact as a solution.
+// advance[k] is how far the escape of cell lo+k travelled; the arena's
+// crossAdv/crossOff hold, per cell, the advances at which it crossed a
+// foreign wire. ok is false when the sweep was cancelled.
+func (s *lineSearch) sweep(a *active, lo, hi, cut int) (advance []int, ok bool) {
 	step := a.step()
-	n := a.iv.Len()
+	n := hi - lo + 1
 	ar := s.ar
 	pl := s.pl
-	// advance[k]: how many cells the escape from segment cell k
-	// travelled. crossAdv flat-stores, per cell, the advance values at
-	// which the escape crossed a foreign wire, in travel order (offsets
-	// in crossOff). Passable cells that are crossings cannot join new
-	// actives.
-	advance := ar.advanceBuf(n)
+	advance = ar.advanceBuf(n)
 	crossAdv := ar.crossAdv[:0]
 	crossOff := ar.crossOffBuf(n + 1)
 
 	// The escape moves one cell at a time along one axis, so the plane
 	// index advances by a constant and every per-cell plane query reads
 	// the derived stops byte plus the stamped covered word — two loads —
-	// instead of five arrays. The window (a clamped subset of the plane)
-	// is the only geometric guard needed.
-	vertical := a.dir == geom.Up || a.dir == geom.Down
-	didx := step
-	across := pl.vNet // horizontal escape: crossing wires are vertical
-	alongBit, acrossBit := stopHWire, stopVWire
-	if vertical {
-		didx = step * pl.w
-		across = pl.hNet
-		alongBit, acrossBit = stopVWire, stopHWire
-	}
+	// instead of five arrays. The cross-axis coordinate is fixed, so the
+	// cut (the plane border, or the target box's far edge) is one
+	// equality test on the expansion-axis coordinate.
+	didx, alongBit, acrossBit, across := s.axis(a)
 	spec := pl.sp != nil && pl.sp.active
 	dbit := uint32(dirBit(a.dir))
 	stamp := ar.gen << coveredStampBits
 
-	// During one escape only the expansion-axis coordinate changes, so
-	// the window test reduces to one equality: the escape exits the
-	// window exactly when nj reaches wcut (the first coordinate past the
-	// window edge in the travel direction). The cross-axis coordinate is
-	// inside the window by construction — actives are emitted from swept
-	// (in-window) cells and start cells lie in the window's core bbox.
-	var wlo, whi int
-	if vertical {
-		wlo, whi = s.win.Min.Y, s.win.Max.Y
-	} else {
-		wlo, whi = s.win.Min.X, s.win.Max.X
-	}
-	wcut := whi + 1
-	if step < 0 {
-		wcut = wlo - 1
-	}
-
 	covered := ar.covered
 	stops := pl.stops
-	claim := pl.claim
 	gen := ar.gen
 	marks := s.marks
 	net := s.net
@@ -360,28 +408,17 @@ func (s *lineSearch) expand(a *active, out []*active) []*active {
 		if s.cancel.tick() {
 			ar.crossAdv = crossAdv
 			s.stats.addCells(swept)
-			return out // abandoned sweep; run's wave poll ends the search
+			return nil, false
 		}
 		crossOff[k] = len(crossAdv)
-		i := a.iv.Lo + k
+		i := lo + k
 		c := a.cross
 		j := a.index
 		idx := pl.idx(a.pt(i, j))
 		adv := 0
 		for {
 			nj := j + step
-			// The window edge stops escapes exactly like an obstacle.
-			// Targets always lie inside the window (they span the bbox
-			// the window was grown from), so no contact is missed. The
-			// edge counts as a clip only when the cell would have been
-			// passable — a boundary coinciding with a natural stop hides
-			// nothing (the accessor-based reads here keep the clip
-			// decision in the speculative read set).
-			if nj == wcut {
-				p := a.pt(i, nj)
-				if a.bends < s.clipWave && !s.stopsEscape(p) && s.wireAlong(p, a.dir) == 0 {
-					s.clipWave = a.bends
-				}
+			if nj == cut {
 				break
 			}
 			nidx := idx + didx
@@ -414,20 +451,10 @@ func (s *lineSearch) expand(a *active, out []*active) []*active {
 					})
 					break
 				}
+				// Own-net wires were already handled by the target test
+				// above.
 				m := stops[nidx]
-				if m&(stopBlocked|stopBend) != 0 {
-					break
-				}
-				if m&stopClaim != 0 && claim[nidx] != net {
-					break
-				}
-				// A wire running along the escape axis can never be
-				// shared: nets may cross, not overlap (§5.3). Own-net
-				// wires were already handled by the target test above.
-				if m&alongBit != 0 {
-					break
-				}
-				if cw&dbit != 0 {
+				if cw&dbit != 0 || s.halts(m, nidx, alongBit) {
 					break
 				}
 				// Perpendicular foreign wire: cross it (cell is passed
@@ -453,41 +480,16 @@ func (s *lineSearch) expand(a *active, out []*active) []*active {
 	crossOff[n] = len(crossAdv)
 	ar.crossAdv = crossAdv
 	s.stats.addCells(swept)
-	return s.newActives(a, advance, crossAdv, crossOff, out)
-}
-
-// stopsEscape reports whether the escape line must halt before entering
-// p: plane border, blocked point (module, foreign terminal), a bend of
-// a routed net, a claimpoint of another net, or a wire running along
-// the escape direction (overlap is never allowed, §5.3).
-func (s *lineSearch) stopsEscape(p geom.Point) bool {
-	if s.pl.Blocked(p) {
-		return true
-	}
-	if s.pl.Bend(p) {
-		return true
-	}
-	if cl := s.pl.Claimpoint(p); cl != 0 && cl != s.net {
-		return true
-	}
-	return false
+	return advance, true
 }
 
 // wireAcross returns the net of a wire perpendicular to the expansion
-// direction at p (the crossable kind); wireAlong would be the same-axis
-// wire, which stopsEscape treats as blocking through stops in expand.
+// direction at p (the crossable kind).
 func (s *lineSearch) wireAcross(p geom.Point, d geom.Dir) int32 {
 	if d == geom.Up || d == geom.Down {
 		return s.pl.HNet(p) // vertical escape crosses horizontal wires
 	}
 	return s.pl.VNet(p)
-}
-
-func (s *lineSearch) wireAlong(p geom.Point, d geom.Dir) int32 {
-	if d == geom.Up || d == geom.Down {
-		return s.pl.VNet(p)
-	}
-	return s.pl.HNet(p)
 }
 
 // newActives builds the perpendicular borders of the expansion zone.

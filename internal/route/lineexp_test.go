@@ -1,6 +1,7 @@
 package route
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -72,10 +73,17 @@ func TestLineExpansionMatchesLee(t *testing.T) {
 		allDirs := []geom.Dir{geom.Left, geom.Right, geom.Up, geom.Down}
 		target := func(q geom.Point) bool { return q == b }
 
-		ls := newLineSearch(pl, 1, target, false, pl.Bounds, nil)
+		ls := newLineSearch(pl, 1, target, false, nil)
 		leSegs, leOK := ls.run(terminalActives(a, allDirs))
+		// The same search over a marked target set takes the final-wave
+		// probe and sweep; it must find the identical path.
+		marked := newLineSearch(pl, 1, target, false, nil)
+		marked.setTargets([]geom.Point{b}, nil)
+		if mSegs, mOK := marked.run(terminalActives(a, allDirs)); mOK != leOK || fmt.Sprint(mSegs) != fmt.Sprint(leSegs) {
+			t.Fatalf("iter %d: marked search %v (ok=%v), predicate search %v (ok=%v)", iter, mSegs, mOK, leSegs, leOK)
+		}
 
-		leeSegs, leeOK := leeSearch(pl, 1, a, allDirs, target, BendsFirst, pl.Bounds, pl.Bounds, nil)
+		leeSegs, leeOK := leeSearch(pl, 1, a, allDirs, target, BendsFirst, pl.Bounds, nil)
 
 		if leOK != leeOK {
 			t.Fatalf("iter %d: lineexp ok=%v, lee ok=%v (a=%v b=%v)", iter, leOK, leeOK, a, b)
@@ -223,7 +231,7 @@ func TestCrossingCountsInObjective(t *testing.T) {
 	_ = pl.SetTerminal(a, 1)
 	_ = pl.SetTerminal(b, 1)
 
-	ls := newLineSearch(pl, 1, func(q geom.Point) bool { return q == b }, false, pl.Bounds, nil)
+	ls := newLineSearch(pl, 1, func(q geom.Point) bool { return q == b }, false, nil)
 	segs, ok := ls.run(terminalActives(a, []geom.Dir{geom.Right}))
 	if !ok {
 		t.Fatal("no path found")
@@ -264,7 +272,7 @@ func TestFewerCrossingsPreferredAtEqualBends(t *testing.T) {
 	a := geom.Pt(4, 2)
 	_ = pl.SetTerminal(a, 1)
 	target := func(q geom.Point) bool { return pl.HNet(q) == 1 || pl.VNet(q) == 1 }
-	ls := newLineSearch(pl, 1, target, false, pl.Bounds, nil)
+	ls := newLineSearch(pl, 1, target, false, nil)
 	segs, ok := ls.run(terminalActives(a, []geom.Dir{geom.Right}))
 	if !ok {
 		t.Fatal("no path")
@@ -282,7 +290,7 @@ func TestFewerCrossingsPreferredAtEqualBends(t *testing.T) {
 	}
 	// And under -s (length first) the shortest join is the same column
 	// here, so it must also succeed.
-	ls2 := newLineSearch(pl, 1, target, true, pl.Bounds, nil)
+	ls2 := newLineSearch(pl, 1, target, true, nil)
 	if _, ok := ls2.run(terminalActives(a, []geom.Dir{geom.Right})); !ok {
 		t.Error("swap objective failed")
 	}

@@ -148,7 +148,7 @@ func FuzzPlaneOverlay(f *testing.F) {
 			if bits[i>>6]&(1<<(uint(i)&63)) == 0 {
 				t.Fatalf("read of plane index %d missing from specReadBits", i)
 			}
-			if g := geom.Pt(int(i)%work.w, int(i)/work.w); !winContains(rbox, g) {
+			if g := geom.Pt(int(i)%work.w, int(i)/work.w); !boxContains(rbox, g) {
 				t.Fatalf("read of plane index %d outside read box %v", i, rbox)
 			}
 		}

@@ -81,7 +81,6 @@ func (st *SearchStats) add(o *SearchStats) {
 		st.MaxBends = o.MaxBends
 	}
 	st.RipUps += o.RipUps
-	st.Widened += o.Widened
 }
 
 // specResult is what a worker hands the committer for one net.
@@ -230,11 +229,9 @@ func (rt *router) routeAllParallel() {
 // entry committed in [syncedAt, k) may have written a cell it read.
 // Each log entry is first screened by rectangle intersection — a commit
 // whose write box is disjoint from the speculation's read box cannot
-// have written a read cell, so the bit tests are skipped. With search
-// windows the read box hugs the net's window and most pairs screen
-// out. Surviving entries pay a bit test per written cell —
-// intentionally independent of the read-set size, which can span the
-// whole searched region.
+// have written a read cell, so the bit tests are skipped. Surviving
+// entries pay a bit test per written cell — intentionally independent
+// of the read-set size, which can span the whole searched region.
 func (rt *router) validate(log []commitEntry, res *specResult, k int) bool {
 	rb := res.rbox
 	for j := res.syncedAt; j < k; j++ {

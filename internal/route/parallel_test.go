@@ -27,9 +27,9 @@ func assertSameResult(t *testing.T, tag string, seq, par *Result) {
 }
 
 // assertSameArtwork compares the routed artwork — wire geometry, plane
-// cell state, failures — but not the search statistics: windowed and
-// full-plane searches sweep different cell counts on the way to the
-// same result.
+// cell state, failures — but not the search statistics: the final-wave
+// sweep and the reference loop visit different cell counts on the way
+// to the same result.
 func assertSameArtwork(t *testing.T, tag string, seq, par *Result) {
 	t.Helper()
 	if !seq.Plane.Equal(par.Plane) {
@@ -87,23 +87,14 @@ func routeFresh(t *testing.T, build func() *netlist.Design, po place.Options, ro
 
 var batteryWorkers = []int{2, 4, 8}
 
-// batteryOrders and batteryWindows span the full determinism matrix:
-// {design, shortest-first} net ordering × {windowed, full-plane}
-// search, each at worker counts {1 (the sequential baseline), 2, 4, 8}.
+// batteryOrders spans the determinism matrix's net orderings, each run
+// at worker counts {1 (the sequential baseline), 2, 4, 8}.
 var batteryOrders = []struct {
 	name     string
 	shortest bool
 }{
 	{"design", false},
 	{"shortest", true},
-}
-
-var batteryWindows = []struct {
-	name     string
-	noWindow bool
-}{
-	{"window", false},
-	{"full", true},
 }
 
 func TestParallelMatchesSequentialWorkloads(t *testing.T) {
@@ -125,30 +116,15 @@ func TestParallelMatchesSequentialWorkloads(t *testing.T) {
 					t.Skip("life battery skipped in -short mode")
 				}
 				ro := Options{Claimpoints: true, OrderShortestFirst: ord.shortest}
-				// One sequential baseline per window setting; the two
-				// baselines must agree on the artwork (the windowed≡full
-				// battery in window_test.go owns the exhaustive version
-				// of that property).
-				var baseline [2]*Result
-				for wi, win := range batteryWindows {
-					wro := ro
-					wro.NoWindow = win.noWindow
-					baseline[wi] = routeFresh(t, tc.build, tc.po, wro)
-				}
-				assertSameArtwork(t, tc.name+"/"+ord.name+"/window-vs-full", baseline[0], baseline[1])
-				for wi, win := range batteryWindows {
-					wro := ro
-					wro.NoWindow = win.noWindow
-					for _, w := range batteryWorkers {
-						pro := wro
-						pro.Workers = w
-						par := routeFresh(t, tc.build, tc.po, pro)
-						if par.Speculation == nil {
-							t.Fatalf("%s workers=%d: no speculation stats on parallel result", win.name, w)
-						}
-						assertSameResult(t, fmt.Sprintf("%s/%s/%s workers=%d",
-							tc.name, ord.name, win.name, w), baseline[wi], par)
+				seq := routeFresh(t, tc.build, tc.po, ro)
+				for _, w := range batteryWorkers {
+					pro := ro
+					pro.Workers = w
+					par := routeFresh(t, tc.build, tc.po, pro)
+					if par.Speculation == nil {
+						t.Fatalf("workers=%d: no speculation stats on parallel result", w)
 					}
+					assertSameResult(t, fmt.Sprintf("%s/%s workers=%d", tc.name, ord.name, w), seq, par)
 				}
 			})
 		}

@@ -45,14 +45,6 @@ type Options struct {
 	// 222 LIFE nets where design order strands obs7); the paper's
 	// design order stays available behind -route-order=design.
 	OrderShortestFirst bool
-	// NoWindow disables the bounded search windows (window.go): every
-	// search then sweeps the full plane, as the seed router did. The
-	// zero value — windows on — is the production default; searches are
-	// confined to the terminals' bounding box plus an adaptive margin
-	// that widens on failure (ending at the full plane), so routability
-	// is never lost. The flag exists for the windowed≡full property
-	// battery and for A/B benching.
-	NoWindow bool
 	// RipUp enables a final rip-up-and-reroute pass (extension beyond
 	// the paper): each still-failed net may displace one nearby routed
 	// net, keeping the exchange only when both complete.
@@ -112,20 +104,6 @@ func ParseOrder(s string) (shortestFirst bool, err error) {
 		return false, nil
 	default:
 		return false, fmt.Errorf("route: unknown order %q (shortest, design)", s)
-	}
-}
-
-// ParseWindow maps the -route-window flag (and the service's
-// route_window option) onto Options.NoWindow. The empty string means
-// the default, windows on.
-func ParseWindow(s string) (noWindow bool, err error) {
-	switch s {
-	case "", "on":
-		return false, nil
-	case "off":
-		return true, nil
-	default:
-		return false, fmt.Errorf("route: unknown window mode %q (on, off)", s)
 	}
 }
 
@@ -235,7 +213,7 @@ type router struct {
 	// (claim releases, laid wires) so an ordered commit can replay them
 	// against the master plane.
 	rec *opRecord
-	// ar is the lazily created search arena (window.go) reused across
+	// ar is the lazily created search arena (arena.go) reused across
 	// every line-expansion search this router runs. Never shared between
 	// routers: each parallel worker creates its own against its private
 	// plane snapshot.
@@ -620,25 +598,11 @@ func (rt *router) initiate(terms []*netlist.Terminal, id int32) ([2]*netlist.Ter
 			if rt.opts.Inject.Fire(resilience.SiteRouteWavefront) != nil {
 				continue // injected soft failure: try the next pair
 			}
-			from := rt.termPoint(p.a)
-			wins := rt.windows(boxAdd(ptBox(from), target))
-			for wi, win := range wins {
-				if wi > 0 {
-					rt.stats.Widened++
-				}
-				rt.stats.Searches++
-				var exact bool
-				segs, ok, exact = dualSearch(rt.plane, id,
-					from, rt.escapeDirs(p.a),
-					target, rt.escapeDirs(p.b),
-					rt.opts.SwapObjective, win, rt.stats, rt.cancel)
-				// Inexact outcomes (a clipped escape could have changed
-				// the result) re-run on the next, wider rung; the last
-				// rung is the full plane, exact by construction.
-				if exact || wi == len(wins)-1 || rt.cancel.poll() {
-					break
-				}
-			}
+			rt.stats.Searches++
+			segs, ok = dualSearch(rt.plane, id,
+				rt.termPoint(p.a), rt.escapeDirs(p.a),
+				target, rt.escapeDirs(p.b),
+				rt.opts.SwapObjective, rt.stats, rt.cancel)
 		} else {
 			segs, ok = rt.search(p.a, id, func(q geom.Point) bool { return q == target },
 				[]geom.Point{target}, nil)
@@ -656,8 +620,8 @@ func (rt *router) initiate(terms []*netlist.Terminal, id int32) ([2]*netlist.Ter
 
 // connectToTree searches from terminal t to any point of the net's
 // existing geometry (wires or connected terminal points). tree is the
-// net's laid geometry, used only to aim the search window — the target
-// predicate itself reads the plane.
+// net's laid geometry; with the connected terminal points it forms the
+// line-expansion engine's marked target set.
 func (rt *router) connectToTree(t *netlist.Terminal, id int32, connected []*netlist.Terminal, tree []Segment) ([]Segment, bool) {
 	connPts := map[geom.Point]bool{}
 	for _, c := range connected {
@@ -682,17 +646,13 @@ func (rt *router) connectToTree(t *netlist.Terminal, id int32, connected []*netl
 	return rt.search(t, id, target, hint, tree)
 }
 
-// search runs one search from a terminal using the selected engine,
-// over the widening window ladder: the bounding box of the terminal,
-// the hint points and the net's tree geometry plus an adaptive margin,
-// retried wider on failure up to the full plane (window.go), so a
-// windowed failure never loses a routable connection. hint lists known
-// target points (for engines that need a concrete point, like
-// Hightower); tree is the net's laid geometry. Every reachable target
-// point must lie within the bbox of from/hint/tree — the Lee engine's
-// A* bound relies on it.
+// search runs one search from a terminal using the selected engine.
+// hint lists known target points (for engines that need a concrete
+// point, like Hightower); tree is the net's laid geometry. Every
+// reachable target point must lie within the bbox of hint/tree — the
+// Lee engine's A* bound and the line engine's final-wave box rely on
+// it.
 func (rt *router) search(t *netlist.Terminal, id int32, target func(geom.Point) bool, hint []geom.Point, tree []Segment) ([]Segment, bool) {
-	from := rt.termPoint(t)
 	dirs := rt.escapeDirs(t)
 	if len(dirs) == 0 {
 		return nil, false
@@ -704,59 +664,31 @@ func (rt *router) search(t *netlist.Terminal, id int32, target func(geom.Point) 
 	if rt.opts.Inject.Fire(resilience.SiteRouteWavefront) != nil {
 		return nil, false
 	}
-	bbox := ptBox(from)
-	for _, h := range hint {
-		bbox = boxAdd(bbox, h)
-	}
-	for _, s := range tree {
-		bbox = boxAdd(boxAdd(bbox, s.A), s.B)
-	}
-	wins := rt.windows(bbox)
-	if rt.opts.Algorithm == AlgoLee || rt.opts.Algorithm == AlgoLeeLength || rt.opts.Algorithm == AlgoHightower {
-		// The baselines always search the full plane: Lee already bounds
-		// its work with the A* prune, Hightower's line probes are cheap,
-		// and neither carries the clip tracking that makes a windowed
-		// outcome provably exact.
-		wins = wins[len(wins)-1:]
-	}
-	for wi, win := range wins {
-		if wi > 0 {
-			rt.stats.Widened++
-		}
-		segs, ok, exact := rt.searchIn(win, bbox, id, from, dirs, target, hint, tree)
-		// Exact outcomes — success or failure — are what the unwindowed
-		// search would have produced, so they are final. Inexact ones are
-		// re-run on the next, wider rung; the last rung is the full plane,
-		// which is exact by construction.
-		if exact || wi == len(wins)-1 {
-			return segs, ok
-		}
-		if rt.cancel.poll() {
-			return nil, false
-		}
-	}
-	return nil, false
+	return rt.searchFrom(id, rt.termPoint(t), dirs, target, hint, tree)
 }
 
-// searchIn runs one engine invocation confined to the window win; tbox
-// is the target bounding box the Lee A* prune uses. The third result
-// reports whether the outcome is provably identical to an unwindowed
-// search (lineexp.go exact); the baselines only ever run unwindowed.
-// For the line-expansion engine the target set — the hint points plus
-// the net's laid tree — is precomputed as arena marks, replacing the
-// per-cell predicate on the hot sweep.
-func (rt *router) searchIn(win, tbox geom.Rect, id int32, from geom.Point, dirs []geom.Dir, target func(geom.Point) bool, hint []geom.Point, tree []Segment) ([]Segment, bool, bool) {
+// searchFrom runs one engine invocation from the point from escaping in
+// dirs. For the line-expansion engine the target set — the hint points
+// plus the net's laid tree — is precomputed as arena marks, replacing
+// the per-cell predicate on the hot sweep.
+func (rt *router) searchFrom(id int32, from geom.Point, dirs []geom.Dir, target func(geom.Point) bool, hint []geom.Point, tree []Segment) ([]Segment, bool) {
 	switch rt.opts.Algorithm {
-	case AlgoLee:
-		obj := BendsFirst
-		if rt.opts.SwapObjective {
-			obj = LengthCrossBends
+	case AlgoLee, AlgoLeeLength:
+		tbox := ptBox(from)
+		for _, h := range hint {
+			tbox = boxAdd(tbox, h)
 		}
-		segs, ok := leeSearch(rt.plane, id, from, dirs, target, obj, win, tbox, rt.cancel)
-		return segs, ok, true
-	case AlgoLeeLength:
-		segs, ok := leeSearch(rt.plane, id, from, dirs, target, LengthFirst, win, tbox, rt.cancel)
-		return segs, ok, true
+		for _, s := range tree {
+			tbox = boxAdd(boxAdd(tbox, s.A), s.B)
+		}
+		obj := LengthFirst
+		if rt.opts.Algorithm == AlgoLee {
+			obj = BendsFirst
+			if rt.opts.SwapObjective {
+				obj = LengthCrossBends
+			}
+		}
+		return leeSearch(rt.plane, id, from, dirs, target, obj, tbox, rt.cancel)
 	case AlgoHightower:
 		// Hightower is point to point: aim at the nearest hint.
 		best := geom.Point{}
@@ -767,20 +699,22 @@ func (rt *router) searchIn(win, tbox geom.Rect, id int32, from geom.Point, dirs 
 			}
 		}
 		if bestD == 1<<30 {
-			return nil, false, true
+			return nil, false
 		}
-		segs, ok := hightowerSearch(rt.plane, id, from, best, win)
-		return segs, ok, true
+		return hightowerSearch(rt.plane, id, from, best)
 	default:
-		ls := newLineSearch(rt.plane, id, target, rt.opts.SwapObjective, win, rt.arena())
+		ls := newLineSearch(rt.plane, id, target, rt.opts.SwapObjective, rt.arena())
 		ls.stats = rt.stats
 		ls.cancel = rt.cancel
 		ls.setTargets(hint, tree)
 		rt.stats.Searches++
-		segs, ok := ls.run(terminalActives(from, dirs))
-		return segs, ok, ls.exact()
+		return runSearch(ls, terminalActives(from, dirs))
 	}
 }
+
+// runSearch is the wave loop every router search runs; the reference
+// battery swaps in an unpruned loop to check the final-wave sweep.
+var runSearch = (*lineSearch).run
 
 // distToTree estimates a terminal's distance to the net's current
 // geometry for ordering (not correctness).

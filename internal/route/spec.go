@@ -110,11 +110,10 @@ func (pl *Plane) beginSpec() {
 // the worker one pass it runs in parallel. The rectangle enables the
 // committer's cheaper pre-filter: a commit whose write box does not
 // intersect the read box cannot conflict, so the per-write bit tests
-// are skipped entirely — with search windows, read boxes hug the net's
-// window and most commit pairs are disjoint. A fresh allocation is
-// required: the committer may still be validating while this worker
-// starts its next epoch. An empty read set yields an inverted box
-// (Min > Max), which intersects nothing.
+// are skipped entirely. A fresh allocation is required: the committer
+// may still be validating while this worker starts its next epoch. An
+// empty read set yields an inverted box (Min > Max), which intersects
+// nothing.
 func (pl *Plane) specReadBits() ([]uint64, geom.Rect) {
 	s := pl.sp
 	bits := make([]uint64, (len(pl.blocked)+63)/64)

@@ -3,7 +3,6 @@ package schematic
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"netart/internal/geom"
@@ -160,6 +159,7 @@ func (d *Diagram) WriteSVG(w io.Writer) error {
 
 	// Wires.
 	if d.Routing != nil {
+		g := newWireGrid(d.Routing.Nets, false)
 		for i, rn := range d.Routing.Nets {
 			color := svgPalette[i%len(svgPalette)]
 			for _, s := range rn.Segments {
@@ -169,20 +169,8 @@ func (d *Diagram) WriteSVG(w io.Writer) error {
 					`<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="%s" stroke-width="2"><title>%s</title></line>`+"\n",
 					x1, y1, x2, y2, color, escapeXML(rn.Net.Name))
 			}
-			g := buildGraph(rn.Segments)
-			var branches []geom.Point
-			for p, ns := range g.adj {
-				if len(ns) >= 3 {
-					branches = append(branches, p)
-				}
-			}
-			sort.Slice(branches, func(a, b int) bool {
-				if branches[a].X != branches[b].X {
-					return branches[a].X < branches[b].X
-				}
-				return branches[a].Y < branches[b].Y
-			})
-			for _, p := range branches {
+			g.addNet(rn.Segments, 0)
+			for _, p := range g.branchPoints() {
 				x, y := tx(p)
 				fmt.Fprintf(&sb, `<circle cx="%d" cy="%d" r="3" fill="%s"/>`+"\n", x, y, color)
 			}
@@ -243,10 +231,11 @@ func (d *Diagram) WriteSVG(w io.Writer) error {
 	return err
 }
 
-func escapeXML(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+// xmlEscaper is shared by every render: a strings.Replacer is safe for
+// concurrent use, and building one costs more than most replacements.
+var xmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
+func escapeXML(s string) string { return xmlEscaper.Replace(s) }
 
 // Summary returns a one-line description of the diagram suitable for
 // CLI output and experiment logs.

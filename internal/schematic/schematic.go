@@ -8,6 +8,8 @@ package schematic
 
 import (
 	"fmt"
+	"math/bits"
+	"sort"
 
 	"netart/internal/geom"
 	"netart/internal/netlist"
@@ -119,24 +121,6 @@ func buildGraph(segs []route.Segment) *netGraph {
 	return g
 }
 
-// bendsAndBranches counts direction changes at degree-2 points and
-// points of degree three or more.
-func (g *netGraph) bendsAndBranches() (bends, branches int) {
-	for p, ns := range g.adj {
-		switch {
-		case len(ns) == 2:
-			d0 := ns[0].Sub(p)
-			d1 := ns[1].Sub(p)
-			if d0.X*d1.X+d0.Y*d1.Y == 0 { // perpendicular
-				bends++
-			}
-		case len(ns) >= 3:
-			branches++
-		}
-	}
-	return bends, branches
-}
-
 // connected reports whether all the given points lie in one component
 // of the graph.
 func (g *netGraph) connected(pts []geom.Point) bool {
@@ -182,35 +166,177 @@ func (d *Diagram) Metrics() Metrics {
 	if d.Routing == nil {
 		return m
 	}
-	occupied := map[geom.Point][2]int32{} // point -> [hNet, vNet]
+	g := newWireGrid(d.Routing.Nets, true)
 	for _, rn := range d.Routing.Nets {
 		if !rn.OK() {
 			m.Unrouted++
 		}
-		id := d.Routing.NetID[rn.Net]
-		g := buildGraph(rn.Segments)
+		g.addNet(rn.Segments, d.Routing.NetID[rn.Net])
 		b, br := g.bendsAndBranches()
 		m.Bends += b
 		m.Branches += br
 		for _, s := range rn.Segments {
 			m.WireLength += s.Len()
-			for _, p := range s.Points() {
-				o := occupied[p]
-				if s.Horizontal() {
-					o[0] = id
-				} else {
-					o[1] = id
-				}
-				occupied[p] = o
+		}
+	}
+	m.Crossings = g.crossings()
+	return m
+}
+
+// Neighbour-mask bits: the wire of the net at a point runs on to the
+// grid neighbour in that direction.
+const (
+	nbRight uint8 = 1 << iota
+	nbLeft
+	nbUp
+	nbDown
+)
+
+// nbBit maps a unit step to its neighbour bit (0 for any other step).
+func nbBit(d geom.Point) uint8 {
+	switch d {
+	case geom.Pt(1, 0):
+		return nbRight
+	case geom.Pt(-1, 0):
+		return nbLeft
+	case geom.Pt(0, 1):
+		return nbUp
+	case geom.Pt(0, -1):
+		return nbDown
+	}
+	return 0
+}
+
+// wireGrid is a dense point grid over a diagram's wires. For the net
+// last added it holds, per point, the 4-bit mask of the grid neighbours
+// the net's wire runs to — the point's degree and shape in the net's
+// wire graph, without buildGraph's map. With crossings tracked it also
+// keeps, per axis, the id of the last net whose wire passed each point.
+// Routed wires are axis-aligned; a diagonal segment adds no mask bits.
+type wireGrid struct {
+	min  geom.Point
+	w    int
+	mask []uint8
+	pts  []int   // indices holding a mask bit of the current net
+	h, v []int32 // last net id per axis; nil unless crossings are tracked
+}
+
+// newWireGrid sizes the grid to the bounding box of every segment
+// endpoint of nets (a segment's points lie inside its endpoints' box).
+func newWireGrid(nets []*route.RoutedNet, crossings bool) *wireGrid {
+	lo, hi := geom.Pt(1<<30, 1<<30), geom.Pt(-1<<30, -1<<30)
+	for _, rn := range nets {
+		for _, s := range rn.Segments {
+			for _, p := range [2]geom.Point{s.A, s.B} {
+				lo = geom.Pt(geom.Min(lo.X, p.X), geom.Min(lo.Y, p.Y))
+				hi = geom.Pt(geom.Max(hi.X, p.X), geom.Max(hi.Y, p.Y))
 			}
 		}
 	}
-	for _, o := range occupied {
-		if o[0] != 0 && o[1] != 0 && o[0] != o[1] {
-			m.Crossings++
+	g := &wireGrid{min: lo}
+	if lo.X > hi.X {
+		return g // no wires
+	}
+	g.w = hi.X - lo.X + 1
+	n := g.w * (hi.Y - lo.Y + 1)
+	g.mask = make([]uint8, n)
+	if crossings {
+		g.h, g.v = make([]int32, n), make([]int32, n)
+	}
+	return g
+}
+
+// addNet loads the neighbour masks of one net's segments, replacing the
+// previous net's, and records id as the last net on every point's axis.
+func (g *wireGrid) addNet(segs []route.Segment, id int32) {
+	for _, i := range g.pts {
+		g.mask[i] = 0
+	}
+	g.pts = g.pts[:0]
+	set := func(i int, bit uint8) {
+		if bit != 0 && g.mask[i]&bit == 0 {
+			if g.mask[i] == 0 {
+				g.pts = append(g.pts, i)
+			}
+			g.mask[i] |= bit
 		}
 	}
-	return m
+	for _, s := range segs {
+		d := geom.Pt(sign(s.B.X-s.A.X), sign(s.B.Y-s.A.Y))
+		fwd, back := nbBit(d), nbBit(geom.Pt(-d.X, -d.Y))
+		for p := s.A; ; p = p.Add(d) {
+			i := (p.Y-g.min.Y)*g.w + p.X - g.min.X
+			if g.h != nil {
+				if s.Horizontal() {
+					g.h[i] = id
+				} else {
+					g.v[i] = id
+				}
+			}
+			if p != s.A {
+				set(i, back)
+			}
+			if p == s.B {
+				break
+			}
+			set(i, fwd)
+		}
+	}
+}
+
+// bendsAndBranches counts the current net's direction changes (points
+// with two perpendicular neighbours) and branching nodes (three or
+// more neighbours).
+func (g *wireGrid) bendsAndBranches() (bends, branches int) {
+	for _, i := range g.pts {
+		switch m := g.mask[i]; {
+		case bits.OnesCount8(m) >= 3:
+			branches++
+		case bits.OnesCount8(m) == 2 && m != nbLeft|nbRight && m != nbUp|nbDown:
+			bends++
+		}
+	}
+	return bends, branches
+}
+
+// branchPoints returns the current net's branching nodes ordered by x,
+// then y.
+func (g *wireGrid) branchPoints() []geom.Point {
+	var out []geom.Point
+	for _, i := range g.pts {
+		if bits.OnesCount8(g.mask[i]) >= 3 {
+			out = append(out, geom.Pt(g.min.X+i%g.w, g.min.Y+i/g.w))
+		}
+	}
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].X != out[b].X {
+			return out[a].X < out[b].X
+		}
+		return out[a].Y < out[b].Y
+	})
+	return out
+}
+
+// crossings counts the points where the last horizontal and the last
+// vertical wire belong to two different nets.
+func (g *wireGrid) crossings() int {
+	n := 0
+	for i, h := range g.h {
+		if v := g.v[i]; h != 0 && v != 0 && h != v {
+			n++
+		}
+	}
+	return n
+}
+
+func sign(x int) int {
+	switch {
+	case x < 0:
+		return -1
+	case x > 0:
+		return 1
+	}
+	return 0
 }
 
 // flowScore computes Rule 3 compliance: over all (driver terminal, sink

@@ -88,6 +88,8 @@ func TestErrorEnvelope(t *testing.T) {
 		{"unknown job events", http.MethodGet, "/v2/jobs/deadbeefdeadbeef/events", "", 404},
 		{"malformed json", http.MethodPost, "/v1/generate", "{", 400},
 		{"unknown field", http.MethodPost, "/v2/generate", `{"warpdrive":true}`, 400},
+		{"retired route_window", http.MethodPost, "/v2/generate",
+			`{"workload":"fig61","options":{"route_window":"off"}}`, 400},
 		{"unknown workload", http.MethodPost, "/v1/generate", `{"workload":"warp"}`, 400},
 		{"bad placer", http.MethodPost, "/v2/jobs",
 			`{"workload":"fig61","options":{"placer":"magic"}}`, 400},

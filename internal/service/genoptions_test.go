@@ -15,10 +15,6 @@ import (
 var cacheKeyExempt = map[string]bool{
 	"RouteWorkers": true,
 	"PlaceWorkers": true,
-	// Windowed and full-plane searches produce byte-identical results —
-	// guaranteed by the routing exactness ladder and enforced by the
-	// windowed≡full property battery in internal/route.
-	"RouteWindow": true,
 }
 
 // nonDefaultFor returns a valid non-default value for one GenOptions
@@ -34,8 +30,6 @@ func nonDefaultFor(t *testing.T, f reflect.StructField, fv reflect.Value) {
 		fv.SetString("strict")
 	case "RouteOrder":
 		fv.SetString("design")
-	case "RouteWindow":
-		fv.SetString("off")
 	default:
 		switch fv.Kind() {
 		case reflect.Int:
@@ -101,7 +95,6 @@ func TestGenOptionsJSONTagTable(t *testing.T) {
 		"NoClaimpoints":  "no_claimpoints",
 		"SwapObjective":  "swap_objective",
 		"RouteOrder":     "route_order",
-		"RouteWindow":    "route_window",
 		"RipUp":          "rip_up",
 		"DualFront":      "dual_front",
 		"Margin":         "margin",

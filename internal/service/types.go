@@ -70,17 +70,9 @@ type GenOptions struct {
 	// increasing estimated length, the §7 extension) or "design" (the
 	// paper's order). Replaces the former shortest_first boolean.
 	RouteOrder string `json:"route_order,omitempty"`
-	// RouteWindow toggles the bounded search windows of the routing hot
-	// path: "on" (default) or "off" (full-plane searches, the seed
-	// behavior). Windowed results are byte-identical to full-plane ones
-	// — the exactness ladder guarantees it and the windowed≡full
-	// property battery in internal/route enforces it — so, exactly like
-	// route_workers, the knob is an execution hint and does NOT
-	// participate in the cache key.
-	RouteWindow string `json:"route_window,omitempty"`
-	RipUp       bool   `json:"rip_up,omitempty"`
-	DualFront   bool   `json:"dual_front,omitempty"`
-	Margin      int    `json:"margin,omitempty"`
+	RipUp      bool   `json:"rip_up,omitempty"`
+	DualFront  bool   `json:"dual_front,omitempty"`
+	Margin     int    `json:"margin,omitempty"`
 
 	// DegradeMode selects the failure policy for incomplete routings:
 	// none, strict, escalate, or best-effort (see gen.DegradeMode).
@@ -124,9 +116,6 @@ func (o GenOptions) resolve() (gen.Options, error) {
 	}
 	var err error
 	if opts.Route.OrderShortestFirst, err = route.ParseOrder(o.RouteOrder); err != nil {
-		return opts, err
-	}
-	if opts.Route.NoWindow, err = route.ParseWindow(o.RouteWindow); err != nil {
 		return opts, err
 	}
 	if opts.Place.PartSize == 0 {
