@@ -7,7 +7,8 @@
 #                      batteries under -race, + the golden-corpus
 #                      check, + a coverage floor on the placement
 #                      packages, + 5s fuzz smokes of the Appendix-A
-#                      netlist parser and the journaled router search,
+#                      netlist parser, the journaled router search and
+#                      the word-level escape sweep,
 #                      + the observability allocation
 #                      guard, + the store-tier -race battery (LRU /
 #                      disk / singleflight / fleet), + the fleet chaos
@@ -18,9 +19,9 @@
 #                      golden check pinning the HTTP contract, + the
 #                      pipeline latency benchmark gated against the
 #                      committed BENCH_pipeline.json, + the service-tier
-#                      benchmark emitting BENCH_service.json with
-#                      restart-survival hit-rate, re-shard convergence
-#                      and async-job latency records)
+#                      benchmark with restart-survival hit-rate,
+#                      re-shard convergence and async-job latency
+#                      records, gated in a temporary file)
 #   tier 2 (-race):    tier 1 with the race detector (slower; exercises
 #                      the netartd worker pool / cache / stats paths and
 #                      the chaos suite's injected panics)
@@ -92,16 +93,19 @@ echo "$COV_OUT" | awk '
 	END { exit bad }
 ' || exit 1
 
-# Fuzz smoke: short bounded runs of the netlist parser fuzz target and
-# of the router's journaled full-plane search (flat and reference-loop
-# parity, read accounting, rollback). Regressions show up as crashers
-# within seconds; the long exploratory runs stay a manual job (go test
-# -fuzz=FuzzParseDesign ./internal/netlist, -fuzz=FuzzSearchJournal
-# ./internal/route).
+# Fuzz smoke: short bounded runs of the netlist parser fuzz target, of
+# the router's journaled full-plane search (flat and reference-loop
+# parity, read accounting, rollback) and of the word-level escape sweep
+# and probe against the per-cell reference loop. Regressions show up as
+# crashers within seconds; the long exploratory runs stay a manual job
+# (go test -fuzz=FuzzParseDesign ./internal/netlist,
+# -fuzz=FuzzSearchJournal or -fuzz=FuzzLineSweep ./internal/route).
 echo "== go test -fuzz=FuzzParseDesign -fuzztime=5s ./internal/netlist"
 go test -run='^$' -fuzz=FuzzParseDesign -fuzztime=5s ./internal/netlist
 echo "== go test -fuzz=FuzzSearchJournal -fuzztime=5s ./internal/route"
 go test -run='^$' -fuzz=FuzzSearchJournal -fuzztime=5s ./internal/route
+echo "== go test -fuzz=FuzzLineSweep -fuzztime=5s ./internal/route"
+go test -run='^$' -fuzz=FuzzLineSweep -fuzztime=5s ./internal/route
 
 # Allocation guard: the disabled observer / metric paths must stay
 # allocation-free, or every un-traced request pays for observability it
@@ -173,27 +177,32 @@ go test -run TestAPISurface ./internal/service
 # baseline; regenerate BENCH_pipeline.json on purpose with
 # `go run ./cmd/benchpipe -out BENCH_pipeline.json`.
 BENCH_FRESH="$(mktemp)"
-trap 'rm -f "$BENCH_FRESH"' EXIT
+SERVICE_FRESH="$(mktemp)"
+trap 'rm -f "$BENCH_FRESH" "$SERVICE_FRESH"' EXIT
 echo "== go run ./cmd/benchpipe -gate BENCH_pipeline.json -out $BENCH_FRESH"
 go run ./cmd/benchpipe -gate BENCH_pipeline.json -out "$BENCH_FRESH"
 
-# Service tier record: store cold/warm tails, restart-survival hit
-# rate (must be 1.0 — checked below), singleflight stampede outcome
-# and the 3-replica fleet numbers, as machine-readable JSON.
-echo "== go run ./cmd/benchpipe -service -workloads fig61,quickstart -out BENCH_service.json"
-go run ./cmd/benchpipe -service -workloads fig61,quickstart -out BENCH_service.json
-if ! grep -q '"hit_rate": 1' BENCH_service.json; then
-	echo "ci.sh: FAIL — restart-survival hit rate below 1.0 in BENCH_service.json" >&2
+# Service tier record: store cold/warm tails, restart-survival hit rate
+# (must be 1.0 — checked below), singleflight stampede outcome and the
+# 3-replica fleet numbers, as machine-readable JSON. Like the pipeline
+# record it goes to a temporary file and the gates read it there;
+# regenerate the committed BENCH_service.json on purpose with
+# `go run ./cmd/benchpipe -service -workloads fig61,quickstart -out
+# BENCH_service.json`.
+echo "== go run ./cmd/benchpipe -service -workloads fig61,quickstart -out $SERVICE_FRESH"
+go run ./cmd/benchpipe -service -workloads fig61,quickstart -out "$SERVICE_FRESH"
+if ! grep -q '"hit_rate": 1' "$SERVICE_FRESH"; then
+	echo "ci.sh: FAIL — restart-survival hit rate below 1.0 in the service record" >&2
 	exit 1
 fi
 # Re-shard convergence gate: after a replica is killed, its keys must
 # remap onto the live set within 3 probe intervals and serve warm.
-if ! grep -q '"reshard_converged": true' BENCH_service.json; then
-	echo "ci.sh: FAIL — fleet did not re-shard within the detection budget in BENCH_service.json" >&2
+if ! grep -q '"reshard_converged": true' "$SERVICE_FRESH"; then
+	echo "ci.sh: FAIL — fleet did not re-shard within the detection budget in the service record" >&2
 	exit 1
 fi
-if ! grep -q '"reshard_served_warm": true' BENCH_service.json; then
-	echo "ci.sh: FAIL — remapped key not served warm within the detection budget in BENCH_service.json" >&2
+if ! grep -q '"reshard_served_warm": true' "$SERVICE_FRESH"; then
+	echo "ci.sh: FAIL — remapped key not served warm within the detection budget in the service record" >&2
 	exit 1
 fi
 

@@ -347,9 +347,10 @@ func run() error {
 
 // gateMinRouteMs is the floor below which the route-budget gate does
 // not apply: workloads whose committed route stage is this fast (fig61
-// routes in well under a millisecond) are noise-dominated, so a 20%
-// band around them would gate scheduler jitter, not regressions.
-const gateMinRouteMs = 50
+// and datapath route in about a millisecond or less) are
+// noise-dominated, so a 20% band around them would gate scheduler
+// jitter, not regressions. life (tens of milliseconds) stays gated.
+const gateMinRouteMs = 10
 
 // routeBudget derives the regression budget from a measured route
 // time: 20% headroom over the committed number.

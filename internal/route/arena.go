@@ -6,10 +6,10 @@ import "netart/internal/geom"
 // inclusive-box helpers the engines share (DESIGN.md §5i).
 //
 // searchArena is the per-router scratch the line-expansion engine draws
-// its wavefront state from. The covered bitmap is epoch-stamped so
-// "clearing" it between searches is one counter increment; actives are
-// bump-allocated from slabs; the per-sweep advance/crossing buffers and
-// the wavefront slices are reused. Together these drop the router's
+// its wavefront state from: the search's target and covered marks as
+// line bitboards, cleared word by word when a search starts; actives
+// bump-allocated from slabs; the reused per-sweep advance/crossing
+// buffers and wavefront slices. Together these drop the router's
 // per-net allocation cost to near zero (the seed allocated an O(plane)
 // covered array per search).
 //
@@ -49,28 +49,22 @@ func manhattanToBox(p geom.Point, r geom.Rect) int {
 	return d
 }
 
-// coveredStampBits is the number of low bits of a covered word holding
-// the per-cell search state — four direction bits plus the target bit;
-// the rest is the search-epoch stamp.
-const coveredStampBits = 5
-
-// targetBit marks a cell as a member of the search's precomputed target
-// set (lineSearch.setTargets), sharing the covered word so the hot sweep
-// answers "target?" and "already swept?" with a single stamped load.
-const targetBit = 1 << 4
-
 // searchArena is the reusable scratch of the line-expansion engine. One
 // arena serves one router (workers of the parallel scheduler each own
-// one, created lazily for their private plane); a search acquires it by
-// bumping the covered epoch, which invalidates every mark of the
-// previous search in O(1).
+// one, created lazily for their private plane); a search acquires it,
+// which clears the previous search's marks.
 type searchArena struct {
-	// covered holds, per plane point, gen<<4 | direction bits: a cell
-	// stops an escape only when it was already swept in the same
-	// direction within the same search epoch. Stamps from older epochs
-	// read as "not covered".
-	covered []uint32
-	gen     uint32
+	lineGeom
+
+	// target holds the search's target marks (lineSearch.setTargets),
+	// one bit per plane index. covered[d] holds, in the layout of
+	// direction d's escape lines, the points already swept in direction
+	// d: a point stops an escape only when it was swept in the same
+	// direction. Every covered board is seeded with the target marks, so
+	// the one scan of event|covered that finds an escape's stop also
+	// finds its target contact; target then tells a contact from a stop.
+	target  []uint64
+	covered [4][]uint64
 
 	// advance and crossAdv/crossOff are the per-sweep escape profile
 	// buffers: advance[k] is how far segment cell k's escape travelled,
@@ -91,54 +85,53 @@ type searchArena struct {
 	waves [2][]*active
 }
 
-func newSearchArena(cells int) *searchArena {
-	return &searchArena{covered: make([]uint32, cells)}
+func newSearchArena(g lineGeom) *searchArena {
+	ar := &searchArena{lineGeom: g, target: make([]uint64, (g.w*g.h+63)/64)}
+	for d := range ar.covered {
+		if geom.Dir(d).Horizontal() {
+			ar.covered[d] = g.rowBoard()
+		} else {
+			ar.covered[d] = g.colBoard()
+		}
+	}
+	return ar
 }
 
-// acquire starts a new search epoch: previous covered marks expire by
-// stamp and the active slab resets. The stamp space (32-4 bits) is
-// cleared for real on the rare wrap.
+// acquire starts a new search: every mark of the previous one is
+// cleared and the active slab resets.
 func (ar *searchArena) acquire() {
-	ar.gen++
-	if ar.gen >= 1<<(32-coveredStampBits) {
-		clear(ar.covered)
-		ar.gen = 1
+	clear(ar.target)
+	for _, b := range ar.covered {
+		clear(b)
 	}
 	ar.blockI, ar.cellI = 0, 0
 }
 
-// markTarget stamps idx as a target of the current epoch. Called before
-// the search sweeps (setTargets), so overwriting the word loses nothing.
+// markTarget marks idx as a target of the current search, on the
+// target board and, as a stop, on every covered board.
 func (ar *searchArena) markTarget(idx int) {
-	w := ar.covered[idx]
-	if w>>coveredStampBits != ar.gen {
-		w = ar.gen << coveredStampBits
-	}
-	ar.covered[idx] = w | targetBit
+	ar.target[idx>>6] |= 1 << (idx & 63)
+	ar.markCovered(idx, allDirBits)
 }
 
-// isTarget reports whether idx was stamped by markTarget this epoch.
+// isTarget reports whether idx is a target of the current search.
 func (ar *searchArena) isTarget(idx int) bool {
-	w := ar.covered[idx]
-	return w>>coveredStampBits == ar.gen && w&targetBit != 0
+	return ar.target[idx>>6]&(1<<(idx&63)) != 0
 }
 
-// coveredBits returns the direction mask of the current epoch at idx.
-func (ar *searchArena) coveredBits(idx int) uint8 {
-	w := ar.covered[idx]
-	if w>>coveredStampBits != ar.gen {
-		return 0
-	}
-	return uint8(w) & allDirBits
-}
-
-// markCovered ors direction bits into the current epoch's mask at idx.
+// markCovered marks idx covered in the directions of the dirBit mask.
 func (ar *searchArena) markCovered(idx int, bits uint8) {
-	w := ar.covered[idx]
-	if w>>coveredStampBits != ar.gen {
-		w = ar.gen << coveredStampBits
+	rw, rm, cw, cm := ar.bitAt(idx)
+	for d, b := range ar.covered {
+		if bits&dirBit(geom.Dir(d)) == 0 {
+			continue
+		}
+		if geom.Dir(d).Horizontal() {
+			b[rw] |= rm
+		} else {
+			b[cw] |= cm
+		}
 	}
-	ar.covered[idx] = w | uint32(bits)
 }
 
 // newActive bump-allocates an active from the slab.
@@ -156,14 +149,13 @@ func (ar *searchArena) newActive() *active {
 	return a
 }
 
-// advanceBuf returns a zeroed advance buffer of n cells.
+// advanceBuf returns an uninitialized advance buffer of n cells; a
+// completed sweep writes every entry.
 func (ar *searchArena) advanceBuf(n int) []int {
 	if cap(ar.advance) < n {
 		ar.advance = make([]int, n)
 	}
-	buf := ar.advance[:n]
-	clear(buf)
-	return buf
+	return ar.advance[:n]
 }
 
 // crossOffBuf returns an uninitialized offset buffer of n entries.

@@ -31,7 +31,18 @@ type cellOwner struct {
 type frontState struct {
 	search *lineSearch
 	owner  map[int]cellOwner
+	owned  []int // owner keys in the order they were first owned
+	seen   int   // how many of the other front's owned cells are target marks here
 	wave   []*active
+}
+
+// own records o as the owner of plane index idx unless the cell already
+// has one.
+func (f *frontState) own(idx int, o cellOwner) {
+	if _, dup := f.owner[idx]; !dup {
+		f.owner[idx] = o
+		f.owned = append(f.owned, idx)
+	}
 }
 
 // joint is a candidate combined solution.
@@ -47,14 +58,14 @@ type joint struct {
 // to the B start.
 //
 // Each front owns a private arena: the two coverage maps must stay
-// independent (both fronts may sweep the same cell), so the fronts
-// cannot share one epoch-stamped array.
+// independent (both fronts may sweep the same cell). A front's targets
+// are the cells the other front owns, marked before each of its waves.
 func dualSearch(pl *Plane, net int32, fromA geom.Point, dirsA []geom.Dir,
 	fromB geom.Point, dirsB []geom.Dir, swap bool,
 	stats *SearchStats, cancel *cancelCheck) ([]Segment, bool) {
 
 	mk := func(from geom.Point, dirs []geom.Dir) *frontState {
-		ls := newLineSearch(pl, net, func(geom.Point) bool { return false }, swap, nil)
+		ls := newLineSearch(pl, net, swap, nil)
 		ls.stats = stats
 		ls.cancel = cancel
 		f := &frontState{search: ls, owner: map[int]cellOwner{}}
@@ -63,8 +74,9 @@ func dualSearch(pl *Plane, net int32, fromA geom.Point, dirsA []geom.Dir,
 			for i := a.iv.Lo; i <= a.iv.Hi; i++ {
 				p := a.pt(i, a.index)
 				if pl.InBounds(p) {
-					ls.ar.markCovered(pl.idx(p), allDirBits)
-					f.owner[pl.idx(p)] = cellOwner{a: a, i: i, j: a.index}
+					idx := pl.idx(p)
+					ls.ar.markCovered(idx, allDirBits)
+					f.own(idx, cellOwner{a: a, i: i, j: a.index})
 				}
 			}
 		}
@@ -124,22 +136,23 @@ func betterJoint(a, b joint, swap bool) bool {
 func expandFrontWave(pl *Plane, self, other *frontState, sols *[]joint,
 	selfIsA bool, stats *SearchStats) {
 
-	self.search.target = func(p geom.Point) bool {
-		if !pl.InBounds(p) {
-			return false
-		}
-		_, met := other.owner[pl.idx(p)]
-		return met
+	ls := self.search
+	for _, idx := range other.owned[self.seen:] {
+		ls.ar.markTarget(idx)
 	}
+	self.seen = len(other.owned)
 	var next []*active
 	stats.addWave()
 	for _, a := range self.wave {
 		stats.addActive()
-		before := snapshotCovered(self.search)
-		next = self.search.expand(a, next)
-		recordOwners(pl, self, a, before)
+		advance, ok := ls.sweep(a, a.iv.Lo, a.iv.Hi, ls.borderCut(a))
+		if !ok {
+			break // abandoned sweep; dualSearch's poll ends the search
+		}
+		self.recordOwners(pl, a, advance)
+		next = ls.newActives(a, advance, ls.ar.crossAdv, ls.ar.crossOff, next)
 	}
-	for _, sol := range self.search.sols {
+	for _, sol := range ls.sols {
 		p := sol.a.pt(sol.i, sol.j)
 		o, ok := other.owner[pl.idx(p)]
 		if !ok {
@@ -161,7 +174,7 @@ func expandFrontWave(pl *Plane, self, other *frontState, sols *[]joint,
 			length: totalLen(combined),
 		})
 	}
-	self.search.sols = nil
+	ls.sols = nil
 	self.wave = next
 }
 
@@ -174,41 +187,23 @@ func reversePath(segs []Segment) []Segment {
 	return out
 }
 
-// snapshotCovered extracts the current epoch's coverage bits so newly
-// covered cells can be attributed to the expanding active.
-func snapshotCovered(ls *lineSearch) []uint8 {
-	out := make([]uint8, len(ls.ar.covered))
-	for i := range out {
-		out[i] = ls.ar.coveredBits(i)
-	}
-	return out
-}
-
-// recordOwners attributes every cell newly covered by a's expansion to
-// a (replaying the escape lines geometrically), tracking the crossing
-// count along each escape.
-func recordOwners(pl *Plane, f *frontState, a *active, before []uint8) {
+// recordOwners attributes to a every cell its sweep newly covered:
+// cells 1..advance[k] of escape k, each with the crossings counted up to
+// and including it.
+func (f *frontState) recordOwners(pl *Plane, a *active, advance []int) {
+	ar := f.search.ar
 	step := a.step()
-	for i := a.iv.Lo; i <= a.iv.Hi; i++ {
-		j := a.index
+	for k, adv := range advance {
+		i := a.iv.Lo + k
 		c := a.cross
-		for {
-			nj := j + step
-			p := a.pt(i, nj)
-			if !pl.InBounds(p) {
-				break
-			}
-			idx := pl.idx(p)
-			if f.search.ar.coveredBits(idx)&dirBit(a.dir) == 0 || before[idx]&dirBit(a.dir) != 0 {
-				break
-			}
-			if w := f.search.wireAcross(p, a.dir); w != 0 && w != f.search.net {
+		cj := ar.crossAdv[ar.crossOff[k]:ar.crossOff[k+1]]
+		for t := 1; t <= adv; t++ {
+			if len(cj) > 0 && cj[0] == t {
 				c++
+				cj = cj[1:]
 			}
-			if _, dup := f.owner[idx]; !dup {
-				f.owner[idx] = cellOwner{a: a, i: i, j: nj, cross: c}
-			}
-			j = nj
+			j := a.index + step*t
+			f.own(pl.idx(a.pt(i, j)), cellOwner{a: a, i: i, j: j, cross: c})
 		}
 	}
 }

@@ -27,7 +27,7 @@ import (
 //     snapshot of the read set);
 //  4. exact rollback after reuse: rollbackSpec restores the
 //     pre-speculation plane, and a second journal epoch over the same
-//     arena (generations bumped, buffers reused) reproduces the first
+//     arena (cleared on acquire, buffers reused) reproduces the first
 //     epoch byte for byte before rolling back just as cleanly.
 
 // boxContains reports whether p lies inside the inclusive rect r.

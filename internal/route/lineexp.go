@@ -1,6 +1,7 @@
 package route
 
 import (
+	"math/bits"
 	"sort"
 
 	"netart/internal/geom"
@@ -61,7 +62,7 @@ type solution struct {
 }
 
 // lineSearch is one invocation of the expansion engine: route from a
-// set of initial actives to a target predicate over plane points.
+// set of initial actives to the target marks of its arena.
 //
 // Coverage bookkeeping lives in the arena: one bit per expansion
 // direction per cell — a cell stops an escape only when it was already
@@ -74,10 +75,9 @@ type solution struct {
 type lineSearch struct {
 	pl     *Plane
 	net    int32
-	ar     *searchArena // covered marks + wavefront scratch; never nil
-	target func(geom.Point) bool
-	marks  bool      // target set precomputed as arena marks (setTargets)
-	tbox   geom.Rect // inclusive bounding box of the target marks
+	ar     *searchArena // target and covered marks + wavefront scratch; never nil
+	views  [4]lineView  // the line view of each expansion direction
+	tbox   geom.Rect    // inclusive bounding box of the target marks (setTargets)
 	sols   []solution
 	swap   bool         // -s: compare length before crossings
 	stats  *SearchStats // optional counters; nil disables
@@ -122,29 +122,31 @@ func dirBit(d geom.Dir) uint8 { return 1 << uint(d) }
 
 const allDirBits = 0x0f
 
-// newLineSearch prepares one search epoch. A nil arena gets a private
-// one (used by callers without a router, like the dual-front fronts);
-// a shared arena is acquired here, expiring the previous search's marks.
-func newLineSearch(pl *Plane, net int32, target func(geom.Point) bool, swap bool, ar *searchArena) *lineSearch {
+// newLineSearch prepares one search. A nil arena gets a private one
+// (used by callers without a router, like the dual-front fronts); a
+// shared arena is acquired here, clearing the previous search's marks.
+// The search has no targets until setTargets (or markTarget) adds them.
+func newLineSearch(pl *Plane, net int32, swap bool, ar *searchArena) *lineSearch {
 	if ar == nil {
-		ar = newSearchArena(len(pl.blocked))
+		ar = newSearchArena(pl.lineGeom)
 	}
 	ar.acquire()
-	return &lineSearch{pl: pl, net: net, ar: ar, target: target, swap: swap}
+	s := &lineSearch{pl: pl, net: net, ar: ar, swap: swap,
+		tbox: geom.Rect{Min: geom.Pt(1<<30, 1<<30), Max: geom.Pt(-1<<30, -1<<30)}}
+	for _, d := range geom.Dirs {
+		s.views[d] = s.view(d)
+	}
+	return s
 }
 
-// setTargets precomputes the target set as arena marks: the given
-// points plus every point of the tree segments. This replaces the
-// per-cell target closure of the hot sweep with one stamped-array load.
-// It is only valid when the predicate is exactly "a listed point or the
-// net's own laid geometry": the tree segments are the wires the net has
-// laid, so the mark set equals the cells where the plane reports the
-// net's own wires — and since no other net can ever write those values,
-// dropping the plane reads keeps speculative read-set validation sound.
-// It also records the marks' bounding box, which confines the solution
-// wave's probe and sweep (run).
+// setTargets marks the target set in the arena: the given points plus
+// every point of the tree segments. The tree segments are the wires the
+// net has laid, so the mark set equals the cells where the plane reports
+// the net's own wires — and since no other net can ever write those
+// values, reading marks instead of the plane keeps speculative read-set
+// validation sound. It also records the marks' bounding box, which
+// confines the solution wave's probe and sweep (run).
 func (s *lineSearch) setTargets(pts []geom.Point, tree []Segment) {
-	s.tbox = geom.Rect{Min: geom.Pt(1<<30, 1<<30), Max: geom.Pt(-1<<30, -1<<30)}
 	for _, p := range pts {
 		if s.pl.InBounds(p) {
 			s.ar.markTarget(s.pl.idx(p))
@@ -160,7 +162,6 @@ func (s *lineSearch) setTargets(pts []geom.Point, tree []Segment) {
 			}
 		}
 	}
-	s.marks = true
 }
 
 // terminalActives builds the initial wave for a terminal at p escaping
@@ -186,12 +187,12 @@ func terminalActives(p geom.Point, dirs []geom.Dir) []*active {
 // the frontier dies out. It returns the winning path as cleaned
 // segments ordered target→source.
 //
-// With a marked target set, a read-only probe (reaches) first decides
-// whether wave b touches a target at all. If it does, b is the solution
-// wave: only the escape lines that cross the target box are swept
-// (sweepFinal), in the usual active and cell order, and no next-wave
-// actives are built. The solution pool best() ranks is the one a sweep
-// of every active would find (DESIGN.md §5i).
+// A read-only probe (reaches) first decides whether wave b touches a
+// target at all. If it does, b is the solution wave: only the escape
+// lines that cross the target box are swept (sweepFinal), in the usual
+// active and cell order, and no next-wave actives are built. The
+// solution pool best() ranks is the one a sweep of every active would
+// find (DESIGN.md §5i).
 func (s *lineSearch) run(starts []*active) ([]Segment, bool) {
 	if len(starts) == 0 {
 		return nil, false
@@ -211,7 +212,7 @@ func (s *lineSearch) run(starts []*active) ([]Segment, bool) {
 			return nil, false // abandoned search: caller checks ctx.Err()
 		}
 		s.stats.addWave()
-		final := s.marks && s.reaches(wave)
+		final := s.reaches(wave)
 		// The two wavefront buffers ping-pong out of the arena: next
 		// never aliases wave (starts is the caller's, and consecutive
 		// waves use alternating buffers). A final wave leaves next empty,
@@ -258,43 +259,35 @@ func (s *lineSearch) boxLines(a *active) (lo, hi, cut int) {
 }
 
 // reaches is the solution-wave probe: it reports whether any escape of
-// the wave contacts a target, walking only the box lines (boxLines)
+// the wave contacts a target, scanning only the box lines (boxLines)
 // against the covered marks of earlier waves. It writes no mark, so it
 // ignores the marks the wave itself would make — which cannot decide
-// whether the wave has a contact (DESIGN.md §5i). Every read is noted
-// on a journaled plane: the probe's verdict is part of the search
-// outcome that speculative validation must cover.
+// whether the wave has a contact (DESIGN.md §5i). Every cell it decides
+// on is noted on a journaled plane: the probe's verdict is part of the
+// search outcome that speculative validation must cover.
 func (s *lineSearch) reaches(wave []*active) bool {
-	pl, ar := s.pl, s.ar
-	spec := pl.sp != nil && pl.sp.active
 	cells := 0
 	defer func() { s.stats.addCells(cells) }()
 	for _, a := range wave {
 		lo, hi, cut := s.boxLines(a)
-		didx, along, _, _ := s.axis(a)
-		dbit := uint32(dirBit(a.dir))
+		v := &s.views[a.dir]
 		step := a.step()
+		b0, cutBit := a.index-v.bitMin, cut-v.bitMin
 		for i := lo; i <= hi; i++ {
 			if s.cancel.tick() {
 				return false // abandoned: the full sweep's tick ends the wave
 			}
-			idx := pl.idx(a.pt(i, a.index))
-			for j := a.index + step; j != cut; j += step {
-				idx += didx
-				cells++
-				if spec {
-					pl.sp.note(int32(idx))
-				}
-				cw := ar.covered[idx]
-				if cw>>coveredStampBits != ar.gen {
-					cw = 0
-				}
-				if cw&targetBit != 0 {
-					return true
-				}
-				if cw&dbit != 0 || s.halts(pl.stops[idx], idx, along) {
-					break
-				}
+			l := i - v.lineMin
+			e := v.stop(l, b0, cutBit, step)
+			// The probe visits the cells up to and including an event; a
+			// cut ends it before the cut cell.
+			cells += (e - b0) * step
+			if e == cutBit {
+				cells--
+			}
+			s.noteRun(v, l, b0, e, cutBit, step)
+			if e != cutBit && s.ar.isTarget(v.index(l, e)) {
+				return true
 			}
 		}
 	}
@@ -310,23 +303,110 @@ func (s *lineSearch) sweepFinal(a *active) {
 	}
 }
 
-// halts reports whether an escape stops before entering plane index idx
-// with stop bits m: a blocked point (module, foreign terminal), a bend
-// of a routed net, a claimpoint of another net, or a wire running along
-// the escape (along is its stop bit): nets may cross, never overlap
-// (§5.3).
-func (s *lineSearch) halts(m uint8, idx int, along uint8) bool {
-	return m&(stopBlocked|stopBend|along) != 0 || m&stopClaim != 0 && s.pl.claim[idx] != s.net
+// lineView is what the escapes of one expansion direction scan: the
+// plane's event and across boards of that orientation, the arena's
+// covered board of that direction, and the map from (line, bit) to
+// plane index. Lines run along the escapes and are numbered along the
+// segment axis; bits count along the expansion axis.
+type lineView struct {
+	event, across, covered []uint64
+	acrossNet              []int32 // net of the across wire, by plane index
+	words                  int     // words per line
+	lineMin, bitMin        int     // plane coordinates of line 0 and bit 0
+	lineStride, bitStride  int     // plane-index strides of one line and one bit
 }
 
-// axis returns, for escapes in a's direction, the plane-index stride of
-// one step, the stop bits of wires along and across the escape, and the
-// net ids of the across wires (the crossable kind).
-func (s *lineSearch) axis(a *active) (didx int, along, acrossBit uint8, across []int32) {
-	if a.dir == geom.Up || a.dir == geom.Down {
-		return a.step() * s.pl.w, stopVWire, stopHWire, s.pl.hNet
+// index returns the plane index of bit b of line l.
+func (v *lineView) index(l, b int) int { return l*v.lineStride + b*v.bitStride }
+
+// view returns the line view of escapes in direction d.
+func (s *lineSearch) view(d geom.Dir) lineView {
+	pl, ar := s.pl, s.ar
+	if d.Horizontal() {
+		return lineView{pl.rowEvent, pl.rowAcross, ar.covered[d], pl.vNet,
+			pl.rowWords, pl.Bounds.Min.Y, pl.Bounds.Min.X, pl.w, 1}
 	}
-	return a.step(), stopHWire, stopVWire, s.pl.vNet
+	return lineView{pl.colEvent, pl.colAcross, ar.covered[d], pl.hNet,
+		pl.colWords, pl.Bounds.Min.X, pl.Bounds.Min.Y, 1, pl.w}
+}
+
+// stop returns where the escape along line l from bit b0, moving by
+// step, stops: the first event or covered bit strictly ahead of b0 and
+// before cutBit, or cutBit when the escape reaches the cut first. Every
+// cell strictly between b0 and the stop is passed. A target stops the
+// escape too: the covered boards carry the target marks.
+func (v *lineView) stop(l, b0, cutBit, step int) int {
+	off := l * v.words
+	ev, cov := v.event[off:off+v.words], v.covered[off:off+v.words]
+	if step > 0 {
+		return nextSet(ev, cov, b0+1, cutBit)
+	}
+	return prevSet(ev, cov, b0-1, cutBit)
+}
+
+// nextSet returns the lowest bit in [from, cut) set in a|b, or cut.
+func nextSet(a, b []uint64, from, cut int) int {
+	if from >= cut {
+		return cut
+	}
+	w := from >> 6
+	x := (a[w] | b[w]) &^ (1<<(from&63) - 1)
+	for x == 0 {
+		w++
+		if w<<6 >= cut {
+			return cut
+		}
+		x = a[w] | b[w]
+	}
+	return min(w<<6|bits.TrailingZeros64(x), cut)
+}
+
+// prevSet returns the highest bit in (cut, from] set in a|b, or cut.
+func prevSet(a, b []uint64, from, cut int) int {
+	if from <= cut {
+		return cut
+	}
+	w := from >> 6
+	x := (a[w] | b[w]) & (2<<(from&63) - 1)
+	for x == 0 {
+		w--
+		if w < 0 || w<<6+63 <= cut {
+			return cut
+		}
+		x = a[w] | b[w]
+	}
+	return max(w<<6|(63-bits.LeadingZeros64(x)), cut)
+}
+
+// setRange sets bits [lo, hi) of line.
+func setRange(line []uint64, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	wl, wh := lo>>6, (hi-1)>>6
+	ml, mh := ^uint64(0)<<(lo&63), ^uint64(0)>>(63-(hi-1)&63)
+	if wl == wh {
+		line[wl] |= ml & mh
+		return
+	}
+	line[wl] |= ml
+	for w := wl + 1; w < wh; w++ {
+		line[w] = ^uint64(0)
+	}
+	line[wh] |= mh
+}
+
+// noteRun notes, on a journaled plane, every cell the escape along line
+// l from b0 decided on: through the stop e, or up to the cut.
+func (s *lineSearch) noteRun(v *lineView, l, b0, e, cutBit, step int) {
+	if sp := s.pl.sp; sp != nil && sp.active {
+		if e == cutBit {
+			e -= step
+		}
+		for q := b0 + step; q != e+step; q += step {
+			sp.note(int32(v.index(l, q)))
+		}
+	}
 }
 
 // best picks the winning solution of the current wave: minimum
@@ -355,20 +435,27 @@ func (s *lineSearch) best() solution {
 // or the target. The stop profile then yields the perpendicular border
 // segments, appended to out as the next wave (NEW_ACTIVES).
 func (s *lineSearch) expand(a *active, out []*active) []*active {
-	b := s.pl.Bounds
-	lo, hi := b.Min.X, b.Max.X
-	if a.dir == geom.Up || a.dir == geom.Down {
-		lo, hi = b.Min.Y, b.Max.Y
-	}
-	cut := hi + 1
-	if a.step() < 0 {
-		cut = lo - 1
-	}
-	advance, ok := s.sweep(a, a.iv.Lo, a.iv.Hi, cut)
+	advance, ok := s.sweep(a, a.iv.Lo, a.iv.Hi, s.borderCut(a))
 	if !ok {
 		return out // abandoned sweep; run's wave poll ends the search
 	}
 	return s.newActives(a, advance, s.ar.crossAdv, s.ar.crossOff, out)
+}
+
+// borderCut is the expansion-axis coordinate just past the plane border
+// ahead of a.
+func (s *lineSearch) borderCut(a *active) int {
+	b := s.pl.Bounds
+	if a.dir.Horizontal() {
+		if a.step() > 0 {
+			return b.Max.X + 1
+		}
+		return b.Min.X - 1
+	}
+	if a.step() > 0 {
+		return b.Max.Y + 1
+	}
+	return b.Min.Y - 1
 }
 
 // sweep runs the escapes of a's cells lo..hi in order, each until its
@@ -377,32 +464,24 @@ func (s *lineSearch) expand(a *active, out []*active) []*active {
 // advance[k] is how far the escape of cell lo+k travelled; the arena's
 // crossAdv/crossOff hold, per cell, the advances at which it crossed a
 // foreign wire. ok is false when the sweep was cancelled.
+//
+// Each escape is one scan of its line (lineView.stop) to its stop e.
+// The cells before e carry no event, covered or target bit, so each is
+// simply passed — with a crossing where the across board has a foreign
+// wire. A claimpoint always stops: a search never meets its own net's
+// claims, which routeNet releases before its first search (DESIGN.md
+// §5i).
 func (s *lineSearch) sweep(a *active, lo, hi, cut int) (advance []int, ok bool) {
 	step := a.step()
 	n := hi - lo + 1
 	ar := s.ar
-	pl := s.pl
 	advance = ar.advanceBuf(n)
 	crossAdv := ar.crossAdv[:0]
 	crossOff := ar.crossOffBuf(n + 1)
 
-	// The escape moves one cell at a time along one axis, so the plane
-	// index advances by a constant and every per-cell plane query reads
-	// the derived stops byte plus the stamped covered word — two loads —
-	// instead of five arrays. The cross-axis coordinate is fixed, so the
-	// cut (the plane border, or the target box's far edge) is one
-	// equality test on the expansion-axis coordinate.
-	didx, alongBit, acrossBit, across := s.axis(a)
-	spec := pl.sp != nil && pl.sp.active
-	dbit := uint32(dirBit(a.dir))
-	stamp := ar.gen << coveredStampBits
-
-	covered := ar.covered
-	stops := pl.stops
-	gen := ar.gen
-	marks := s.marks
+	v := &s.views[a.dir]
+	b0, cutBit := a.index-v.bitMin, cut-v.bitMin
 	net := s.net
-
 	swept := 0
 	for k := 0; k < n; k++ {
 		if s.cancel.tick() {
@@ -412,84 +491,53 @@ func (s *lineSearch) sweep(a *active, lo, hi, cut int) (advance []int, ok bool) 
 		}
 		crossOff[k] = len(crossAdv)
 		i := lo + k
-		c := a.cross
-		j := a.index
-		idx := pl.idx(a.pt(i, j))
-		adv := 0
-		for {
-			nj := j + step
-			if nj == cut {
-				break
-			}
-			nidx := idx + didx
-			if spec {
-				// One read note covers every field of the cell: the
-				// journal tracks whole points, so this subsumes the
-				// per-accessor notes of the generic path.
-				pl.sp.note(int32(nidx))
-			}
-			cw := covered[nidx]
-			if cw>>coveredStampBits != gen {
-				cw = stamp
-			}
-			if uint32(stops[nidx])|(cw&(dbit|targetBit)) != 0 || !marks {
-				// Slow path: some condition bit is set (or targets are a
-				// closure) — decide hit / stop / crossing explicitly.
-				var hit bool
-				if marks {
-					hit = cw&targetBit != 0
-				} else {
-					hit = s.target(a.pt(i, nj))
-				}
-				if hit {
-					segs := pathBack(a, i, nj)
-					s.sols = append(s.sols, solution{
-						a: a, i: i, j: nj,
-						cross:  c,
-						length: totalLen(segs),
-						segs:   segs,
-					})
-					break
-				}
-				// Own-net wires were already handled by the target test
-				// above.
-				m := stops[nidx]
-				if cw&dbit != 0 || s.halts(m, nidx, alongBit) {
-					break
-				}
-				// Perpendicular foreign wire: cross it (cell is passed
-				// but unusable as a turning point).
-				if m&acrossBit != 0 && across[nidx] != net {
-					c++
-					covered[nidx] = cw | dbit
-					adv++
-					crossAdv = append(crossAdv, adv)
-					j = nj
-					idx = nidx
-					continue
-				}
-			}
-			covered[nidx] = cw | dbit
-			adv++
-			j = nj
-			idx = nidx
+		l := i - v.lineMin
+		e := v.stop(l, b0, cutBit, step)
+		s.noteRun(v, l, b0, e, cutBit, step)
+
+		// The run is the bits strictly between b0 and e.
+		off := l * v.words
+		runLo, runHi := b0+1, e
+		if step < 0 {
+			runLo, runHi = e+1, b0
 		}
+		acr := v.across[off : off+v.words]
+		c := a.cross
+		if step > 0 {
+			for q := nextSet(acr, acr, runLo, runHi); q < runHi; q = nextSet(acr, acr, q+1, runHi) {
+				if v.acrossNet[v.index(l, q)] != net {
+					c++
+					crossAdv = append(crossAdv, q-b0)
+				}
+			}
+		} else {
+			for q := prevSet(acr, acr, runHi-1, runLo-1); q >= runLo; q = prevSet(acr, acr, q-1, runLo-1) {
+				if v.acrossNet[v.index(l, q)] != net {
+					c++
+					crossAdv = append(crossAdv, b0-q)
+				}
+			}
+		}
+		setRange(v.covered[off:off+v.words], runLo, runHi)
+		adv := runHi - runLo
 		advance[k] = adv
 		swept += adv
+
+		if e != cutBit && ar.isTarget(v.index(l, e)) {
+			nj := e + v.bitMin
+			segs := pathBack(a, i, nj)
+			s.sols = append(s.sols, solution{
+				a: a, i: i, j: nj,
+				cross:  c,
+				length: totalLen(segs),
+				segs:   segs,
+			})
+		}
 	}
 	crossOff[n] = len(crossAdv)
 	ar.crossAdv = crossAdv
 	s.stats.addCells(swept)
 	return advance, true
-}
-
-// wireAcross returns the net of a wire perpendicular to the expansion
-// direction at p (the crossable kind).
-func (s *lineSearch) wireAcross(p geom.Point, d geom.Dir) int32 {
-	if d == geom.Up || d == geom.Down {
-		return s.pl.HNet(p) // vertical escape crosses horizontal wires
-	}
-	return s.pl.VNet(p)
 }
 
 // newActives builds the perpendicular borders of the expansion zone.

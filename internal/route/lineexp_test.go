@@ -73,14 +73,15 @@ func TestLineExpansionMatchesLee(t *testing.T) {
 		allDirs := []geom.Dir{geom.Left, geom.Right, geom.Up, geom.Down}
 		target := func(q geom.Point) bool { return q == b }
 
-		ls := newLineSearch(pl, 1, target, false, nil)
+		ls := newLineSearch(pl, 1, false, nil)
+		ls.setTargets([]geom.Point{b}, nil)
 		leSegs, leOK := ls.run(terminalActives(a, allDirs))
-		// The same search over a marked target set takes the final-wave
-		// probe and sweep; it must find the identical path.
-		marked := newLineSearch(pl, 1, target, false, nil)
-		marked.setTargets([]geom.Point{b}, nil)
-		if mSegs, mOK := marked.run(terminalActives(a, allDirs)); mOK != leOK || fmt.Sprint(mSegs) != fmt.Sprint(leSegs) {
-			t.Fatalf("iter %d: marked search %v (ok=%v), predicate search %v (ok=%v)", iter, mSegs, mOK, leSegs, leOK)
+		// The unpruned reference loop expands every wave in full; the
+		// final-wave probe and sweep must find the identical path.
+		full := newLineSearch(pl, 1, false, nil)
+		full.setTargets([]geom.Point{b}, nil)
+		if fSegs, fOK := referenceRun(full, terminalActives(a, allDirs)); fOK != leOK || fmt.Sprint(fSegs) != fmt.Sprint(leSegs) {
+			t.Fatalf("iter %d: reference loop %v (ok=%v), final-wave sweep %v (ok=%v)", iter, fSegs, fOK, leSegs, leOK)
 		}
 
 		leeSegs, leeOK := leeSearch(pl, 1, a, allDirs, target, BendsFirst, pl.Bounds, nil)
@@ -231,7 +232,8 @@ func TestCrossingCountsInObjective(t *testing.T) {
 	_ = pl.SetTerminal(a, 1)
 	_ = pl.SetTerminal(b, 1)
 
-	ls := newLineSearch(pl, 1, func(q geom.Point) bool { return q == b }, false, nil)
+	ls := newLineSearch(pl, 1, false, nil)
+	ls.setTargets([]geom.Point{b}, nil)
 	segs, ok := ls.run(terminalActives(a, []geom.Dir{geom.Right}))
 	if !ok {
 		t.Fatal("no path found")
@@ -262,7 +264,8 @@ func TestFewerCrossingsPreferredAtEqualBends(t *testing.T) {
 	// crossing-free column.
 	pl := NewPlane(geom.R(0, 0, 20, 20))
 	// The net's own existing wire along row 10.
-	if err := pl.LayWire(1, []Segment{{geom.Pt(0, 10), geom.Pt(20, 10)}}); err != nil {
+	own := []Segment{{geom.Pt(0, 10), geom.Pt(20, 10)}}
+	if err := pl.LayWire(1, own); err != nil {
 		t.Fatal(err)
 	}
 	// Foreign vertical wire at x=6 cutting rows 0..9.
@@ -271,8 +274,8 @@ func TestFewerCrossingsPreferredAtEqualBends(t *testing.T) {
 	}
 	a := geom.Pt(4, 2)
 	_ = pl.SetTerminal(a, 1)
-	target := func(q geom.Point) bool { return pl.HNet(q) == 1 || pl.VNet(q) == 1 }
-	ls := newLineSearch(pl, 1, target, false, nil)
+	ls := newLineSearch(pl, 1, false, nil)
+	ls.setTargets(nil, own)
 	segs, ok := ls.run(terminalActives(a, []geom.Dir{geom.Right}))
 	if !ok {
 		t.Fatal("no path")
@@ -290,7 +293,8 @@ func TestFewerCrossingsPreferredAtEqualBends(t *testing.T) {
 	}
 	// And under -s (length first) the shortest join is the same column
 	// here, so it must also succeed.
-	ls2 := newLineSearch(pl, 1, target, true, nil)
+	ls2 := newLineSearch(pl, 1, true, nil)
+	ls2.setTargets(nil, own)
 	if _, ok := ls2.run(terminalActives(a, []geom.Dir{geom.Right})); !ok {
 		t.Error("swap objective failed")
 	}

@@ -17,7 +17,10 @@ import (
 //  2. report every mutable-state read in specReadBits,
 //  3. roll back to the exact pre-speculation state, and
 //  4. behave identically on a second epoch over the same journal
-//     (epoch reuse must not leak marks or dirty bits).
+//     (epoch reuse must not leak marks or dirty bits),
+//
+// and keep the derived line boards equal to the authoritative arrays
+// after every op, rollback and replay (checkLineBoards).
 //
 // The ops mirror what routing actually does to a plane: field reads,
 // claim placement and release, LayWire (validated wires, error parity
@@ -26,7 +29,8 @@ import (
 // fuzzOps interprets data as an op stream against pl. reads, when
 // non-nil, collects the plane indices of tracked mutable reads.
 // LayWire outcomes are appended to errs so two runs can be compared.
-func fuzzOps(pl *Plane, data []byte, reads map[int32]bool, errs *[]string) {
+// The line boards are checked after every op.
+func fuzzOps(t *testing.T, pl *Plane, data []byte, reads map[int32]bool, errs *[]string) {
 	w := pl.Bounds.Max.X - pl.Bounds.Min.X + 1
 	h := pl.Bounds.Max.Y - pl.Bounds.Min.Y + 1
 	pt := func(a, b byte) geom.Point {
@@ -37,7 +41,7 @@ func fuzzOps(pl *Plane, data []byte, reads map[int32]bool, errs *[]string) {
 			reads[int32(pl.idx(p))] = true
 		}
 	}
-	for len(data) >= 4 {
+	for ; len(data) >= 4; assertLineBoards(t, "after op", pl) {
 		op, a, b, c := data[0], data[1], data[2], data[3]
 		data = data[4:]
 		p := pt(a, b)
@@ -119,7 +123,7 @@ func FuzzPlaneOverlay(f *testing.F) {
 		// Reference run: flat clone, no journal.
 		ref := base.Clone()
 		var refErrs []string
-		fuzzOps(ref, data, nil, &refErrs)
+		fuzzOps(t, ref, data, nil, &refErrs)
 
 		// Journaled run.
 		work := base.Clone()
@@ -127,7 +131,7 @@ func FuzzPlaneOverlay(f *testing.F) {
 		work.beginSpec()
 		reads := map[int32]bool{}
 		var workErrs []string
-		fuzzOps(work, data, reads, &workErrs)
+		fuzzOps(t, work, data, reads, &workErrs)
 
 		// (1) Same writes, journal active or not.
 		if !work.Equal(ref) {
@@ -157,10 +161,11 @@ func FuzzPlaneOverlay(f *testing.F) {
 		if !work.Equal(base) {
 			t.Fatal("rollback did not restore the pre-speculation state")
 		}
+		assertLineBoards(t, "after rollback", work)
 		// (4) A second epoch over the reused journal behaves identically.
 		work.beginSpec()
 		var again []string
-		fuzzOps(work, data, nil, &again)
+		fuzzOps(t, work, data, nil, &again)
 		if !work.Equal(ref) {
 			t.Fatal("second epoch diverges from the flat reference")
 		}
@@ -168,5 +173,6 @@ func FuzzPlaneOverlay(f *testing.F) {
 		if !work.Equal(base) {
 			t.Fatal("second rollback did not restore the base state")
 		}
+		assertLineBoards(t, "after second rollback", work)
 	})
 }

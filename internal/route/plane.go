@@ -60,9 +60,7 @@ func sign(x int) int {
 }
 
 // Plane is the routing plane: a dense point grid carrying the obstacle
-// configuration of §5.6.2. Instead of the paper's two obstacle sets
-// (horizontal-segments / vertical-segments) it stores per-point
-// occupancy, which answers the same queries in O(1):
+// configuration of §5.6.2. Six per-point arrays are authoritative:
 //
 //   - blocked points (module outlines and interiors, plane border,
 //     foreign system terminals, claimpoints),
@@ -71,14 +69,22 @@ func sign(x int) int {
 //     vertically),
 //   - bends of routed nets, which block every expansion (the paper:
 //     "the expansion is blocked only by modules, bends in nets and the
-//     border of the plane").
+//     border of the plane"),
+//   - terminal owners and claimpoint holders.
+//
+// The expansion engine reads none of them per cell. It scans line
+// bitboards derived from them (DESIGN.md §5i): per escape orientation,
+// an event board of the points that stop an escape and an across board
+// of the wires it crosses. Like the paper's horizontal-segments /
+// vertical-segments sets, they hold the obstacles line by line, so one
+// word-level scan finds where an escape stops.
 type Plane struct {
 	// Bounds is the inclusive point region [Min.X..Max.X] x
 	// [Min.Y..Max.Y]. Note this differs from geom.Rect cell semantics:
 	// Max is a valid point.
 	Bounds geom.Rect
 
-	w, h    int
+	lineGeom
 	blocked []bool
 	termNet []int32 // net id (1-based) whose terminal sits here; 0 none
 	hNet    []int32 // net id of wire running horizontally through here
@@ -94,11 +100,15 @@ type Plane struct {
 	// full-plane scan per net.
 	claimOf map[int32][]int32
 
-	// stops caches, per point, one bit per condition the expansion
-	// engine's escape sweep tests (stop* constants). It is derived state,
-	// recomputed on every mutating write, so the hot sweep reads one byte
-	// instead of five arrays; the slow accessors stay authoritative.
-	stops []uint8
+	// The line bitboards, derived state kept current by refresh on every
+	// write of the arrays above. rowEvent/rowAcross serve Left/Right
+	// escapes, colEvent/colAcross Up/Down escapes. An event bit marks a
+	// point that stops the escape: blocked, a bend, a claimpoint, or a
+	// wire running along the escape (nets may cross, never overlap,
+	// §5.3). An across bit marks a wire perpendicular to the escape,
+	// which it passes with a crossing unless the wire is its own net's.
+	rowEvent, rowAcross []uint64
+	colEvent, colAcross []uint64
 
 	// sp is the copy-on-write speculation journal (spec.go). Nil on
 	// ordinary planes; attached by enableSpec on the private per-worker
@@ -106,36 +116,50 @@ type Plane struct {
 	sp *planeSpec
 }
 
-// stops bits. stopHWire/stopVWire mean "a wire of some net runs through
-// here on that axis" — whether that stops or merely crosses an escape
-// depends on the escape's direction and net, which the sweep decides.
-const (
-	stopBlocked uint8 = 1 << iota
-	stopBend
-	stopClaim
-	stopHWire
-	stopVWire
-)
+// lineGeom is the layout of the line bitboards: one bit per plane
+// point. A row board holds the points of row y-Min.Y at bits x-Min.X
+// (the lines of Left/Right escapes); a column board holds the points of
+// column x-Min.X at bits y-Min.Y (the lines of Up/Down escapes). Each
+// line is padded to whole 64-bit words, and the padding bits stay zero.
+type lineGeom struct {
+	w, h               int
+	rowWords, colWords int // words per row line, per column line
+}
 
-// refreshStops recomputes the derived stop bits of point i.
-func (pl *Plane) refreshStops(i int) {
-	var m uint8
-	if pl.blocked[i] {
-		m |= stopBlocked
+func newLineGeom(w, h int) lineGeom {
+	return lineGeom{w: w, h: h, rowWords: (w + 63) / 64, colWords: (h + 63) / 64}
+}
+
+func (g lineGeom) rowBoard() []uint64 { return make([]uint64, g.h*g.rowWords) }
+func (g lineGeom) colBoard() []uint64 { return make([]uint64, g.w*g.colWords) }
+
+// bitAt locates plane index i on both layouts: its word and mask in a
+// row board, then in a column board.
+func (g lineGeom) bitAt(i int) (rw int, rm uint64, cw int, cm uint64) {
+	y, x := i/g.w, i%g.w
+	return y*g.rowWords + x>>6, 1 << (x & 63), x*g.colWords + y>>6, 1 << (y & 63)
+}
+
+// setBit sets or clears the bits m of board word w.
+func setBit(board []uint64, w int, m uint64, on bool) {
+	if on {
+		board[w] |= m
+	} else {
+		board[w] &^= m
 	}
-	if pl.bend[i] {
-		m |= stopBend
-	}
-	if pl.claim[i] != 0 {
-		m |= stopClaim
-	}
-	if pl.hNet[i] != 0 {
-		m |= stopHWire
-	}
-	if pl.vNet[i] != 0 {
-		m |= stopVWire
-	}
-	pl.stops[i] = m
+}
+
+// refresh recomputes the line-board bits of point i from the
+// authoritative arrays. Every write of blocked, hNet, vNet, bend or
+// claim ends here, so the boards never go stale.
+func (pl *Plane) refresh(i int) {
+	stop := pl.blocked[i] || pl.bend[i] || pl.claim[i] != 0
+	h, v := pl.hNet[i] != 0, pl.vNet[i] != 0
+	rw, rm, cw, cm := pl.bitAt(i)
+	setBit(pl.rowEvent, rw, rm, stop || h)
+	setBit(pl.rowAcross, rw, rm, v)
+	setBit(pl.colEvent, cw, cm, stop || v)
+	setBit(pl.colAcross, cw, cm, h)
 }
 
 // NewPlane returns an empty plane over the inclusive point region.
@@ -146,18 +170,21 @@ func NewPlane(bounds geom.Rect) *Plane {
 		w, h = 1, 1
 	}
 	n := w * h
+	g := newLineGeom(w, h)
 	return &Plane{
-		Bounds:  bounds,
-		w:       w,
-		h:       h,
-		blocked: make([]bool, n),
-		termNet: make([]int32, n),
-		hNet:    make([]int32, n),
-		vNet:    make([]int32, n),
-		bend:    make([]bool, n),
-		claim:   make([]int32, n),
-		claimOf: make(map[int32][]int32),
-		stops:   make([]uint8, n),
+		Bounds:    bounds,
+		lineGeom:  g,
+		blocked:   make([]bool, n),
+		termNet:   make([]int32, n),
+		hNet:      make([]int32, n),
+		vNet:      make([]int32, n),
+		bend:      make([]bool, n),
+		claim:     make([]int32, n),
+		claimOf:   make(map[int32][]int32),
+		rowEvent:  g.rowBoard(),
+		rowAcross: g.rowBoard(),
+		colEvent:  g.colBoard(),
+		colAcross: g.colBoard(),
 	}
 }
 
@@ -179,7 +206,7 @@ func (pl *Plane) BlockRect(min, max geom.Point) {
 		for x := geom.Max(min.X, pl.Bounds.Min.X); x <= geom.Min(max.X, pl.Bounds.Max.X); x++ {
 			i := pl.idx(geom.Pt(x, y))
 			pl.blocked[i] = true
-			pl.stops[i] |= stopBlocked
+			pl.refresh(i)
 		}
 	}
 }
@@ -189,7 +216,7 @@ func (pl *Plane) BlockPoint(p geom.Point) {
 	if pl.InBounds(p) {
 		i := pl.idx(p)
 		pl.blocked[i] = true
-		pl.stops[i] |= stopBlocked
+		pl.refresh(i)
 	}
 }
 

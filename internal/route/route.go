@@ -223,7 +223,7 @@ type router struct {
 // arena returns the router's search arena, creating it on first use.
 func (rt *router) arena() *searchArena {
 	if rt.ar == nil {
-		rt.ar = newSearchArena(len(rt.plane.blocked))
+		rt.ar = newSearchArena(rt.plane.lineGeom)
 	}
 	return rt.ar
 }
@@ -703,7 +703,7 @@ func (rt *router) searchFrom(id int32, from geom.Point, dirs []geom.Dir, target 
 		}
 		return hightowerSearch(rt.plane, id, from, best)
 	default:
-		ls := newLineSearch(rt.plane, id, target, rt.opts.SwapObjective, rt.arena())
+		ls := newLineSearch(rt.plane, id, rt.opts.SwapObjective, rt.arena())
 		ls.stats = rt.stats
 		ls.cancel = rt.cancel
 		ls.setTargets(hint, tree)

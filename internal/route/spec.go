@@ -141,7 +141,7 @@ func (pl *Plane) rollbackSpec() {
 		case fieldClaim:
 			pl.claim[e.idx] = e.old
 		}
-		pl.refreshStops(int(e.idx))
+		pl.refresh(int(e.idx))
 		s.dirty[e.idx] &^= 1 << e.field
 	}
 	s.undo = s.undo[:0]
@@ -157,7 +157,7 @@ func (pl *Plane) setH(i int, v int32) {
 		pl.sp.journal(int32(i), fieldH, pl.hNet[i])
 	}
 	pl.hNet[i] = v
-	pl.refreshStops(i)
+	pl.refresh(i)
 }
 
 func (pl *Plane) setV(i int, v int32) {
@@ -165,7 +165,7 @@ func (pl *Plane) setV(i int, v int32) {
 		pl.sp.journal(int32(i), fieldV, pl.vNet[i])
 	}
 	pl.vNet[i] = v
-	pl.refreshStops(i)
+	pl.refresh(i)
 }
 
 func (pl *Plane) setBend(i int) {
@@ -177,7 +177,7 @@ func (pl *Plane) setBend(i int) {
 		pl.sp.journal(int32(i), fieldBend, old)
 	}
 	pl.bend[i] = true
-	pl.stops[i] |= stopBend
+	pl.refresh(i)
 }
 
 func (pl *Plane) setClaim(i int, v int32) {
@@ -188,7 +188,7 @@ func (pl *Plane) setClaim(i int, v int32) {
 		pl.claimOf[v] = append(pl.claimOf[v], int32(i))
 	}
 	pl.claim[i] = v
-	pl.refreshStops(i)
+	pl.refresh(i)
 }
 
 // noteRead records a mutable-state read at point index i (no-op without
@@ -199,10 +199,10 @@ func (pl *Plane) noteRead(i int) {
 	}
 }
 
-// Clone returns a deep copy of the plane's cell state. The speculation
-// journal is not cloned: the copy starts untracked.
+// Clone returns a deep copy of the plane's cell state and line boards.
+// The speculation journal is not cloned: the copy starts untracked.
 func (pl *Plane) Clone() *Plane {
-	cp := &Plane{Bounds: pl.Bounds, w: pl.w, h: pl.h}
+	cp := &Plane{Bounds: pl.Bounds, lineGeom: pl.lineGeom}
 	cp.blocked = append([]bool(nil), pl.blocked...)
 	cp.termNet = append([]int32(nil), pl.termNet...)
 	cp.hNet = append([]int32(nil), pl.hNet...)
@@ -213,13 +213,16 @@ func (pl *Plane) Clone() *Plane {
 	for net, idxs := range pl.claimOf {
 		cp.claimOf[net] = append([]int32(nil), idxs...)
 	}
-	cp.stops = append([]uint8(nil), pl.stops...)
+	cp.rowEvent = append([]uint64(nil), pl.rowEvent...)
+	cp.rowAcross = append([]uint64(nil), pl.rowAcross...)
+	cp.colEvent = append([]uint64(nil), pl.colEvent...)
+	cp.colAcross = append([]uint64(nil), pl.colAcross...)
 	return cp
 }
 
 // Equal reports whether two planes carry byte-identical cell state
-// (bounds and all six per-point arrays). Used by the determinism tests
-// and the overlay fuzz target.
+// (bounds and all six per-point arrays; the line boards are derived
+// from them). Used by the determinism tests and the overlay fuzz target.
 func (pl *Plane) Equal(o *Plane) bool {
 	if pl.Bounds != o.Bounds || pl.w != o.w || pl.h != o.h {
 		return false

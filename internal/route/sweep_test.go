@@ -64,8 +64,9 @@ func withReference(f func()) {
 // assertMatchesReference routes the design with the reference loop and
 // with the production loop (sequentially, and with three workers when
 // parallel is set) and requires identical artwork and search counters,
-// then machine-checks the result against the netlist. Actives and Cells
-// are exempt: they count the work the final-wave sweep saves.
+// then machine-checks the result against the netlist and the routed
+// plane's line boards against its arrays. Actives and Cells are exempt:
+// they count the work the final-wave sweep saves.
 func assertMatchesReference(t *testing.T, tag string, build func() *netlist.Design, po place.Options, ro Options, parallel bool) {
 	t.Helper()
 	var ref *Result
@@ -80,6 +81,7 @@ func assertMatchesReference(t *testing.T, tag string, build func() *netlist.Desi
 		suffix := fmt.Sprintf(" workers=%d", w)
 		got := routeFresh(t, build, po, o)
 		assertSameArtwork(t, tag+suffix, ref, got)
+		assertLineBoards(t, tag+suffix, got.Plane)
 		r, g := ref.Stats, got.Stats
 		if r.Searches != g.Searches || r.Waves != g.Waves || r.MaxBends != g.MaxBends || r.RipUps != g.RipUps {
 			t.Errorf("%s%s: search counters diverge:\n  reference %+v\n  final     %+v", tag, suffix, r, g)
@@ -102,23 +104,28 @@ var sweepVariants = []struct {
 	{"noclaims+swap", false, true},
 }
 
+// builtinCases are the built-in workloads at the placement options of
+// their reference figures.
+type builtinCase struct {
+	name  string
+	build func() *netlist.Design
+	po    place.Options
+	slow  bool
+}
+
+var builtinCases = []builtinCase{
+	{"fig61", workload.Fig61, place.Options{PartSize: 6, BoxSize: 6}, false},
+	{"quickstart", workload.Quickstart, place.Options{PartSize: 4, BoxSize: 4}, false},
+	{"datapath", workload.Datapath16, place.Options{PartSize: 7, BoxSize: 5}, false},
+	{"cpu", workload.CPU, place.Options{PartSize: 7, BoxSize: 5,
+		ModSpacing: 1, BoxSpacing: 1}, false},
+	{"chain", func() *netlist.Design { return workload.Chain(16) }, place.Options{PartSize: 7, BoxSize: 5}, false},
+	{"life", workload.Life27, place.Options{PartSize: 5, BoxSize: 5,
+		ModSpacing: 1, BoxSpacing: 2, PartSpacing: 3}, true},
+}
+
 func TestWindowedMatchesFullWorkloads(t *testing.T) {
-	cases := []struct {
-		name  string
-		build func() *netlist.Design
-		po    place.Options
-		slow  bool
-	}{
-		{"fig61", workload.Fig61, place.Options{PartSize: 6, BoxSize: 6}, false},
-		{"quickstart", workload.Quickstart, place.Options{PartSize: 4, BoxSize: 4}, false},
-		{"datapath", workload.Datapath16, place.Options{PartSize: 7, BoxSize: 5}, false},
-		{"cpu", workload.CPU, place.Options{PartSize: 7, BoxSize: 5,
-			ModSpacing: 1, BoxSpacing: 1}, false},
-		{"chain", func() *netlist.Design { return workload.Chain(16) }, place.Options{PartSize: 7, BoxSize: 5}, false},
-		{"life", workload.Life27, place.Options{PartSize: 5, BoxSize: 5,
-			ModSpacing: 1, BoxSpacing: 2, PartSpacing: 3}, true},
-	}
-	for _, tc := range cases {
+	for _, tc := range builtinCases {
 		for _, ord := range batteryOrders {
 			t.Run(tc.name+"/"+ord.name, func(t *testing.T) {
 				if tc.slow && testing.Short() {
