@@ -288,6 +288,33 @@ func BenchmarkChainScaling(b *testing.B) {
 	}
 }
 
+// BenchmarkPlaceScaling measures how the placement phase alone grows
+// with network size: seeded random networks at the fresh-random
+// service mix's options (PartSize 7, BoxSize 5) and string networks in
+// one partition and box, as BenchmarkChainScaling runs them. Each size
+// is placed once per iteration; the design is built outside the timer.
+func BenchmarkPlaceScaling(b *testing.B) {
+	run := func(b *testing.B, d *netlist.Design, opts place.Options) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := place.Place(d, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for _, n := range []int{50, 100, 200, 400, 800} {
+		b.Run(fmt.Sprintf("random/n=%d", n), func(b *testing.B) {
+			run(b, workload.Random(n, 3), place.Options{PartSize: 7, BoxSize: 5})
+		})
+	}
+	for _, n := range []int{64, 128, 256, 512, 1024} {
+		b.Run(fmt.Sprintf("chain/n=%d", n), func(b *testing.B) {
+			run(b, workload.Chain(n), place.Options{PartSize: n, BoxSize: n})
+		})
+	}
+}
+
 // BenchmarkLineExpansionSearch isolates the router core: one
 // point-to-point search across a mostly empty plane per iteration, the
 // unit the §5.8 complexity argument reasons about ("if the number of

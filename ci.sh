@@ -3,12 +3,12 @@
 #
 #   tier 1 (default):  go vet + build + full test suite (shuffled)
 #                      (+ staticcheck when installed, + the parallel-
-#                      routing and parallel-placement determinism
-#                      batteries under -race, + the golden-corpus
-#                      check, + a coverage floor on the placement
-#                      packages, + 5s fuzz smokes of the Appendix-A
-#                      netlist parser, the journaled router search and
-#                      the word-level escape sweep,
+#                      routing determinism batteries under -race, + the
+#                      golden-corpus check, + a coverage floor on the
+#                      placement packages, + 5s fuzz smokes of the
+#                      Appendix-A netlist parser, the journaled router
+#                      search, the word-level escape sweep and the
+#                      placement reference battery,
 #                      + the observability allocation
 #                      guard, + the store-tier -race battery (LRU /
 #                      disk / singleflight / fleet), + the fleet chaos
@@ -56,16 +56,15 @@ echo "== go test ${RACE} -shuffle=on ./..."
 go test ${RACE} -shuffle=on ./...
 
 # Determinism batteries under the race detector: the parallel routing
-# AND parallel placement schedulers must be data-race-free AND
-# byte-identical to their sequential twins (segments, plane cells,
-# stats, placement fingerprints, ASCII, SVG), and the router's
+# scheduler must be data-race-free AND byte-identical to its sequential
+# twin (segments, plane cells, stats, ASCII, SVG), and the router's
 # final-wave sweep must match the unpruned reference loop (including a
 # parallel run). Tier 2's full -race pass above already covers them;
 # tier 1 runs just the batteries with -race -short so every default CI
 # run still proves the contract.
 if [ -z "${RACE}" ]; then
-	echo "== determinism batteries: go test -race -short -run 'Parallel|Rendered|WindowedMatchesFull' ./internal/route ./internal/gen ./internal/place"
-	go test -race -short -run 'Parallel|Rendered|WindowedMatchesFull' ./internal/route ./internal/gen ./internal/place
+	echo "== determinism batteries: go test -race -short -run 'Parallel|Rendered|WindowedMatchesFull' ./internal/route ./internal/gen"
+	go test -race -short -run 'Parallel|Rendered|WindowedMatchesFull' ./internal/route ./internal/gen
 fi
 
 # Golden corpus: the pinned ASCII/SVG artwork of every built-in
@@ -95,17 +94,21 @@ echo "$COV_OUT" | awk '
 
 # Fuzz smoke: short bounded runs of the netlist parser fuzz target, of
 # the router's journaled full-plane search (flat and reference-loop
-# parity, read accounting, rollback) and of the word-level escape sweep
-# and probe against the per-cell reference loop. Regressions show up as
-# crashers within seconds; the long exploratory runs stay a manual job
+# parity, read accounting, rollback), of the word-level escape sweep
+# and probe against the per-cell reference loop, and of the placer
+# against its map-based reference. Regressions show up as crashers
+# within seconds; the long exploratory runs stay a manual job
 # (go test -fuzz=FuzzParseDesign ./internal/netlist,
-# -fuzz=FuzzSearchJournal or -fuzz=FuzzLineSweep ./internal/route).
+# -fuzz=FuzzSearchJournal or -fuzz=FuzzLineSweep ./internal/route,
+# -fuzz=FuzzPlaceReference ./internal/place).
 echo "== go test -fuzz=FuzzParseDesign -fuzztime=5s ./internal/netlist"
 go test -run='^$' -fuzz=FuzzParseDesign -fuzztime=5s ./internal/netlist
 echo "== go test -fuzz=FuzzSearchJournal -fuzztime=5s ./internal/route"
 go test -run='^$' -fuzz=FuzzSearchJournal -fuzztime=5s ./internal/route
 echo "== go test -fuzz=FuzzLineSweep -fuzztime=5s ./internal/route"
 go test -run='^$' -fuzz=FuzzLineSweep -fuzztime=5s ./internal/route
+echo "== go test -fuzz=FuzzPlaceReference -fuzztime=5s ./internal/place"
+go test -run='^$' -fuzz=FuzzPlaceReference -fuzztime=5s ./internal/place
 
 # Allocation guard: the disabled observer / metric paths must stay
 # allocation-free, or every un-traced request pays for observability it

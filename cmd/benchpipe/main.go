@@ -15,12 +15,11 @@
 // A route-workers sweep rides along: each workload's route stage is
 // re-run (cache off) at every worker count in -route-workers, and the
 // per-workload parallel_speedup field reports sequential route time
-// over the best parallel route time. A matching place-workers sweep
-// does the same for the placement stage (-place-workers, place_sweep,
-// place_parallel_speedup). The record carries cpus and gomaxprocs so
-// a speedup of ~1.0 on a single-core runner reads as the hardware
-// fact it is, not a scheduler defect — the determinism batteries, not
-// this bench, are the parallel stages' correctness gates.
+// over the best parallel route time. The record carries cpus and
+// gomaxprocs so a speedup of ~1.0 on a single-core runner reads as the
+// hardware fact it is, not a scheduler defect — the determinism
+// batteries, not this bench, are the parallel router's correctness
+// gate.
 //
 // With -service the bench targets the daemon tier instead: store
 // cold/warm tail latency over a tiered disk-backed store, restart
@@ -45,7 +44,7 @@
 // Usage:
 //
 //	benchpipe [-out BENCH_pipeline.json] [-workloads fig61,datapath,life]
-//	          [-warm-runs 5] [-route-workers 1,2,4,N] [-place-workers 1,2,4,N]
+//	          [-warm-runs 5] [-route-workers 1,2,4,N]
 //	          [-gate BENCH_pipeline.json]
 //	benchpipe -service [-out BENCH_service.json] [-workloads fig61,quickstart]
 package main
@@ -93,24 +92,12 @@ type workloadResult struct {
 	// over the committed number). The -gate flag of a later run compares
 	// its own best observation against the committed file's budget.
 	RouteBudgetMs float64 `json:"route_budget_ms,omitempty"`
-	// PlaceSweep is the place-stage latency at each -place-workers
-	// value (cache bypassed; best of two runs per point), and
-	// PlaceParallelSpeedup the sequential place_ms over the best
-	// parallel place_ms — the placement twin of the route sweep.
-	PlaceSweep           []placeSweepPoint `json:"place_sweep,omitempty"`
-	PlaceParallelSpeedup float64           `json:"place_parallel_speedup,omitempty"`
 }
 
 // routeSweepPoint is one (worker count, route latency) sample.
 type routeSweepPoint struct {
 	Workers int     `json:"workers"`
 	RouteMs float64 `json:"route_ms"`
-}
-
-// placeSweepPoint is one (worker count, place latency) sample.
-type placeSweepPoint struct {
-	Workers int     `json:"workers"`
-	PlaceMs float64 `json:"place_ms"`
 }
 
 // benchFile is the top-level shape of BENCH_pipeline.json.
@@ -130,7 +117,7 @@ func main() {
 	}
 }
 
-// parseSweep expands a -route-workers/-place-workers spec into a
+// parseSweep expands a -route-workers spec into a
 // deduplicated list of worker counts; "N" means GOMAXPROCS. flagName
 // is only used for error messages.
 func parseSweep(flagName, spec string) ([]int, error) {
@@ -163,8 +150,6 @@ func run() error {
 	warmRuns := flag.Int("warm-runs", 5, "cache-hit repeats per workload (best is reported)")
 	sweepSpec := flag.String("route-workers", "1,2,4,N",
 		"comma-separated route-worker counts for the sweep (N = GOMAXPROCS; empty disables)")
-	placeSpec := flag.String("place-workers", "1,2,4,N",
-		"comma-separated place-worker counts for the sweep (N = GOMAXPROCS; empty disables)")
 	serviceMode := flag.Bool("service", false,
 		"benchmark the service tier instead (store cold/warm tails, restart survival, singleflight stampede, 3-replica fleet)")
 	gate := flag.String("gate", "",
@@ -197,10 +182,6 @@ func run() error {
 	}
 
 	sweep, err := parseSweep("-route-workers", *sweepSpec)
-	if err != nil {
-		return err
-	}
-	placeSweep, err := parseSweep("-place-workers", *placeSpec)
 	if err != nil {
 		return err
 	}
@@ -290,39 +271,11 @@ func run() error {
 			res.ParallelSpeedup = seqMs / bestParMs
 		}
 
-		// Place-workers sweep: identical shape, comparing only the
-		// place stage. route_workers is left at the request default so
-		// the placement delta is the only variable.
-		var seqPlaceMs, bestParPlaceMs float64
-		for _, workers := range placeSweep {
-			sreq := req
-			sreq.Options.PlaceWorkers = workers
-			var best float64
-			for rep := 0; rep < 2; rep++ {
-				r, err := sweepSrv.GenerateV2(ctx, &sreq)
-				if err != nil {
-					return fmt.Errorf("workload %s (place sweep workers=%d): %w", w, workers, err)
-				}
-				ms := float64(r.Report.Timings.Place) / float64(time.Millisecond)
-				if rep == 0 || ms < best {
-					best = ms
-				}
-			}
-			res.PlaceSweep = append(res.PlaceSweep, placeSweepPoint{Workers: workers, PlaceMs: best})
-			if workers <= 1 {
-				seqPlaceMs = best
-			} else if bestParPlaceMs == 0 || best < bestParPlaceMs {
-				bestParPlaceMs = best
-			}
-		}
-		if seqPlaceMs > 0 && bestParPlaceMs > 0 {
-			res.PlaceParallelSpeedup = seqPlaceMs / bestParPlaceMs
-		}
 		res.RouteBudgetMs = routeBudget(minRouteMs(res))
 
 		file.Results = append(file.Results, res)
-		fmt.Fprintf(os.Stderr, "benchpipe: %-10s cold %8.3fms  warm %8.3fms  (%.0fx)  par-route %.2fx  par-place %.2fx\n",
-			w, res.ColdMs, res.WarmMs, res.Speedup, res.ParallelSpeedup, res.PlaceParallelSpeedup)
+		fmt.Fprintf(os.Stderr, "benchpipe: %-10s cold %8.3fms  warm %8.3fms  (%.0fx)  par-route %.2fx\n",
+			w, res.ColdMs, res.WarmMs, res.Speedup, res.ParallelSpeedup)
 	}
 
 	b, err := json.MarshalIndent(file, "", "  ")

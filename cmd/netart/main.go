@@ -56,8 +56,6 @@ func run() error {
 	ripup := flag.Bool("ripup", false, "rip-up-and-reroute pass for failed nets (extension)")
 	routeWorkers := flag.Int("route-workers", 0,
 		"speculative routing workers (0/1 = sequential; results are byte-identical)")
-	placeWorkers := flag.Int("place-workers", 0,
-		"parallel placement workers (0/1 = sequential; results are byte-identical)")
 	verify := flag.Bool("verify-routing", false,
 		"machine-check the routed geometry against the netlist before rendering")
 	trace := flag.Bool("trace", false, "print the per-stage span tree to stderr")
@@ -123,7 +121,6 @@ func run() error {
 			RipUp:              *ripup,
 		},
 		RouteWorkers: *routeWorkers,
-		PlaceWorkers: *placeWorkers,
 	}
 	switch *placer {
 	case "paper":

@@ -154,8 +154,6 @@ func run() error {
 		"default routing-failure policy: none, strict, escalate, best-effort")
 	routeWorkers := flag.Int("route-workers", 0,
 		"default speculative routing workers per request (0/1 = sequential; results are byte-identical)")
-	placeWorkers := flag.Int("place-workers", 0,
-		"default parallel placement workers per request (0/1 = sequential; results are byte-identical)")
 	verifyRouting := flag.Bool("verify-routing", false,
 		"machine-check every response's wire geometry against its netlist before serving")
 	batchRetries := flag.Int("batch-retries", 2,
@@ -222,28 +220,27 @@ func run() error {
 		peerList = strings.Split(*peers, ",")
 	}
 	srv, err := service.NewServer(service.Config{
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		CacheEntries:   *cacheEnts,
-		DefaultTimeout: *timeout,
-		MaxTimeout:     *maxTimeout,
-		JobsMax:        *jobsMax,
-		JobsTTL:        *jobsTTL,
-		MaxBodyBytes:   *maxBody,
-		MaxModules:     *maxModules,
-		MaxNets:        *maxNets,
-		MaxPlaneArea:   *maxArea,
-		DegradeMode:    dm,
-		RouteWorkers:   *routeWorkers,
-		PlaceWorkers:   *placeWorkers,
-		VerifyRouting:  *verifyRouting,
-		BatchRetries:   *batchRetries,
-		RetryBase:      *retryBase,
-		RetryMax:       *retryMax,
-		Inject:         inj,
-		StoreBackend:   *storeBackend,
-		StoreDir:       *storeDir,
-		StoreMaxBytes:  *storeMaxBytes,
+		Workers:           *workers,
+		QueueDepth:        *queue,
+		CacheEntries:      *cacheEnts,
+		DefaultTimeout:    *timeout,
+		MaxTimeout:        *maxTimeout,
+		JobsMax:           *jobsMax,
+		JobsTTL:           *jobsTTL,
+		MaxBodyBytes:      *maxBody,
+		MaxModules:        *maxModules,
+		MaxNets:           *maxNets,
+		MaxPlaneArea:      *maxArea,
+		DegradeMode:       dm,
+		RouteWorkers:      *routeWorkers,
+		VerifyRouting:     *verifyRouting,
+		BatchRetries:      *batchRetries,
+		RetryBase:         *retryBase,
+		RetryMax:          *retryMax,
+		Inject:            inj,
+		StoreBackend:      *storeBackend,
+		StoreDir:          *storeDir,
+		StoreMaxBytes:     *storeMaxBytes,
 		Peers:             peerList,
 		SelfURL:           *self,
 		PeerProbeInterval: cfgProbe,

@@ -43,8 +43,6 @@ func run() error {
 	i := flag.Int("i", 0, "extra tracks around each box")
 	s := flag.Int("s", 0, "extra tracks around each module")
 	g := flag.String("g", "", "ESCHER diagram with a preplaced part to keep fixed")
-	placeWorkers := flag.Int("place-workers", 0,
-		"parallel placement workers (0/1 = sequential; results are byte-identical)")
 	trace := flag.Bool("trace", false, "print the placement span tree to stderr")
 	out := flag.String("o", "", "output file (default stdout)")
 	name := flag.String("name", "design", "design name for the output diagram")
@@ -69,7 +67,6 @@ func run() error {
 			PartSize: *p, BoxSize: *b, MaxConnections: *c,
 			PartSpacing: *e, BoxSpacing: *i, ModSpacing: *s,
 		},
-		PlaceWorkers:   *placeWorkers,
 		StopAfterPlace: true,
 	}
 	if *g != "" {

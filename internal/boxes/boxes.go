@@ -7,9 +7,6 @@
 package boxes
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"netart/internal/netlist"
 	"netart/internal/partition"
 )
@@ -36,13 +33,6 @@ type Config struct {
 	// treated as 1, the Appendix E default, which keeps every module in
 	// its own box (figures 6.2 and 6.3).
 	MaxBoxSize int
-	// Workers is the number of goroutines Form may use to process
-	// independent partitions concurrently (0/1 = sequential). The
-	// per-partition computation reads only the design and the
-	// partition's own module set, and results land in a slice indexed
-	// by partition, so the output is byte-identical for every worker
-	// count: the knob is an execution hint, never a result parameter.
-	Workers int
 }
 
 func (c Config) maxBox() int {
@@ -53,213 +43,233 @@ func (c Config) maxBox() int {
 }
 
 // Form divides every partition into boxes. The returned outer slice is
-// parallel to parts. With cfg.Workers > 1 the partitions are processed
-// concurrently; because each partition's string search is a pure
-// function of (design, partition, cfg) and the result slot is indexed
-// by partition, the output is identical to the sequential form.
+// parallel to parts.
 func Form(d *netlist.Design, parts []*partition.Part, cfg Config) [][]*Box {
+	return FormIndexed(netlist.NewIndex(d), parts, cfg)
+}
+
+// FormIndexed is Form over a prebuilt index of the design.
+func FormIndexed(ix *netlist.Index, parts []*partition.Part, cfg Config) [][]*Box {
+	f := newFormer(ix)
 	out := make([][]*Box, len(parts))
-	workers := cfg.Workers
-	if workers > len(parts) {
-		workers = len(parts)
+	for i, p := range parts {
+		out[i] = f.formPartition(p, cfg.maxBox())
 	}
-	if workers <= 1 {
-		for i, p := range parts {
-			out[i] = formPartition(d, p, cfg)
-		}
-		return out
+	return out
+}
+
+// former holds the per-call working state of box formation. Modules of
+// the partition being boxed are addressed by their position in it.
+type former struct {
+	ix     *netlist.Index
+	local  []int32 // design module -> position in the loaded partition + 1, 0 outside it
+	terms  []int32 // per net: terminals on modules of the loaded partition
+	sysIn  []bool  // per net: has an in or inout system terminal
+	ids    []int   // loaded partition position -> design module
+	roots  []bool
+	succ   [][]int32 // out→in successors inside the partition, in LONGEST_PATH order
+	remain []bool
+	path   []int32
+	best   []int32
+	maxBox int
+}
+
+func newFormer(ix *netlist.Index) *former {
+	f := &former{
+		ix:    ix,
+		local: make([]int32, len(ix.Design.Modules)),
+		terms: make([]int32, len(ix.Design.Nets)),
+		sysIn: make([]bool, len(ix.Design.Nets)),
 	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(parts) {
-					return
-				}
-				out[i] = formPartition(d, parts[i], cfg)
+	for n, net := range ix.Design.Nets {
+		for _, t := range net.Terms {
+			if t.Module == nil && (t.Type == netlist.In || t.Type == netlist.InOut) {
+				f.sysIn[n] = true
 			}
-		}()
+		}
 	}
-	wg.Wait()
+	return f
+}
+
+// load makes p the current partition: its module positions, roots
+// and out→in successor lists.
+func (f *former) load(p *partition.Part) {
+	for _, m := range f.ids {
+		f.local[m] = 0
+	}
+	f.ids = f.ids[:0]
+	for i, mod := range p.Modules {
+		m, _ := f.ix.ModID(mod)
+		f.ids = append(f.ids, m)
+		f.local[m] = int32(i + 1)
+		for _, u := range f.ix.ModNets[m] {
+			f.terms[u.Net] += u.Terms
+		}
+	}
+	k := len(f.ids)
+	f.roots = resize(f.roots, k)
+	f.remain = resize(f.remain, k)
+	if cap(f.succ) < k {
+		f.succ = make([][]int32, k)
+	}
+	f.succ = f.succ[:k]
+	for i, m := range f.ids {
+		f.roots[i] = f.isRoot(m)
+		f.remain[i] = true
+		f.succ[i] = f.successors(m, f.succ[i][:0])
+	}
+	for _, m := range f.ids {
+		for _, u := range f.ix.ModNets[m] {
+			f.terms[u.Net] -= u.Terms
+		}
+	}
+}
+
+func resize(s []bool, n int) []bool {
+	if cap(s) < n {
+		return make([]bool, n)
+	}
+	return s[:n]
+}
+
+// isRoot implements the CONSTRUCT_ROOTS test: a module may root a
+// string if (a) it is connected to a module outside the partition, or
+// (b) it is connected by a net to a system terminal of type in or
+// inout, or (c) it has exactly one distinct net to other modules.
+func (f *former) isRoot(m int) bool {
+	degree := 0
+	for _, u := range f.ix.ModNets[m] {
+		if f.ix.ModTerms[u.Net] > f.terms[u.Net] || f.sysIn[u.Net] {
+			return true
+		}
+		if f.ix.ModTerms[u.Net] > u.Terms {
+			degree++
+		}
+	}
+	return degree == 1
+}
+
+// successors appends, in deterministic order, the partition modules
+// reachable from m over a net that leaves m through an out/inout
+// terminal and enters the successor through an in/inout terminal — the
+// string connectivity condition of LONGEST_PATH.
+func (f *former) successors(m int, out []int32) []int32 {
+	mod := f.ix.Design.Modules[m]
+	for k, t := range mod.Terms {
+		n := f.ix.TermNet[m][k]
+		if n < 0 || !t.Type.CanDrive() {
+			continue
+		}
+		for j, u := range f.ix.Design.Nets[n].Terms {
+			v := f.ix.NetMods[n][j]
+			if v < 0 || int(v) == m || f.local[v] == 0 || !u.Type.CanSink() {
+				continue
+			}
+			s := f.local[v] - 1
+			dup := false
+			for _, x := range out {
+				if x == s {
+					dup = true
+					break
+				}
+			}
+			if !dup {
+				out = append(out, s)
+			}
+		}
+	}
 	return out
 }
 
 // formPartition implements the inner loop of BOX_FORMATION for one
-// partition: compute the root set, then repeatedly extract the longest
-// path over the remaining modules, rooted at a remaining root.
-func formPartition(d *netlist.Design, p *partition.Part, cfg Config) []*Box {
-	remaining := map[*netlist.Module]bool{}
-	order := append([]*netlist.Module(nil), p.Modules...)
-	for _, m := range order {
-		remaining[m] = true
-	}
-	roots := ConstructRoots(d, p)
-
+// partition: repeatedly extract the longest path over the remaining
+// modules, rooted at a remaining root.
+func (f *former) formPartition(p *partition.Part, maxBox int) []*Box {
+	f.load(p)
+	f.maxBox = maxBox
 	var out []*Box
-	for len(remaining) > 0 {
+	for left := len(f.ids); left > 0; {
 		// Live roots: still unassigned. If none remain (all roots were
 		// consumed mid-path or the partition has no roots at all), every
 		// remaining module becomes a candidate root; the paper's loop
 		// assumes roots never run dry, which does not hold for cyclic or
 		// root-free partitions.
-		var live []*netlist.Module
-		for _, m := range order {
-			if remaining[m] && roots[m] {
-				live = append(live, m)
+		anyRoot := false
+		for i := range f.ids {
+			if f.remain[i] && f.roots[i] {
+				anyRoot = true
+				break
 			}
 		}
-		if len(live) == 0 {
-			for _, m := range order {
-				if remaining[m] {
-					live = append(live, m)
-				}
+		f.best = f.best[:0]
+		for i := range f.ids {
+			if !f.remain[i] || (anyRoot && !f.roots[i]) {
+				continue
+			}
+			f.path = append(f.path[:0], int32(i))
+			f.remain[i] = false
+			done := f.longestPath()
+			f.remain[i] = true
+			if done {
+				break
 			}
 		}
-		var maxPath []*netlist.Module
-		for _, r := range live {
-			path := longestPath(d, []*netlist.Module{r}, remaining, cfg.maxBox())
-			if len(path) > len(maxPath) {
-				maxPath = path
-			}
+		b := &Box{Modules: make([]*netlist.Module, len(f.best))}
+		for j, i := range f.best {
+			f.remain[i] = false
+			b.Modules[j] = p.Modules[i]
 		}
-		for _, m := range maxPath {
-			delete(remaining, m)
-		}
-		delete(roots, maxPath[0])
-		out = append(out, &Box{Modules: maxPath})
+		f.roots[f.best[0]] = false
+		left -= len(f.best)
+		out = append(out, b)
 	}
 	return out
 }
 
-// ConstructRoots implements CONSTRUCT_ROOTS: a module may root a string
-// if (a) it is connected to a module outside the partition, or (b) it is
-// connected by a net to a system terminal of type in or inout, or (c) it
-// has exactly one distinct net to other modules.
-func ConstructRoots(d *netlist.Design, p *partition.Part) map[*netlist.Module]bool {
-	inPart := p.Set()
-	roots := map[*netlist.Module]bool{}
-	for _, m := range p.Modules {
-		if connectsOutsidePartition(m, inPart) ||
-			connectsInSystemTerminal(m) ||
-			moduleNetDegree(m) == 1 {
-			roots[m] = true
+// longestPath implements LONGEST_PATH: depth-first extension of the
+// current path by remaining modules out→in connected to its tail,
+// bounded by maxBox. It keeps the first path of maximum length in
+// depth-first order, the one the paper's recursion returns, and
+// reports true once that path has maxBox modules, since no later path
+// can be longer.
+func (f *former) longestPath() bool {
+	if len(f.path) > len(f.best) {
+		f.best = append(f.best[:0], f.path...)
+		if len(f.best) >= f.maxBox {
+			return true
 		}
 	}
-	return roots
-}
-
-func connectsOutsidePartition(m *netlist.Module, inPart map[*netlist.Module]bool) bool {
-	for _, t := range m.Terms {
-		if t.Net == nil {
+	if len(f.path) >= f.maxBox {
+		return false
+	}
+	for _, c := range f.succ[f.path[len(f.path)-1]] {
+		if !f.remain[c] {
 			continue
 		}
-		for _, u := range t.Net.Terms {
-			if u.Module != nil && u.Module != m && !inPart[u.Module] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func connectsInSystemTerminal(m *netlist.Module) bool {
-	for _, t := range m.Terms {
-		if t.Net == nil {
-			continue
-		}
-		for _, u := range t.Net.Terms {
-			if u.Module == nil && (u.Type == netlist.In || u.Type == netlist.InOut) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// moduleNetDegree counts the distinct nets connecting m to other
-// modules.
-func moduleNetDegree(m *netlist.Module) int {
-	seen := map[*netlist.Net]bool{}
-	count := 0
-	for _, t := range m.Terms {
-		n := t.Net
-		if n == nil || seen[n] {
-			continue
-		}
-		seen[n] = true
-		for _, u := range n.Terms {
-			if u.Module != nil && u.Module != m {
-				count++
-				break
-			}
-		}
-	}
-	return count
-}
-
-// longestPath implements LONGEST_PATH: depth-first extension of path by
-// modules from the remaining set that are out→in connected to the
-// current path tail, bounded by maxBox.
-func longestPath(d *netlist.Design, path []*netlist.Module,
-	remaining map[*netlist.Module]bool, maxBox int) []*netlist.Module {
-	maxPath := append([]*netlist.Module(nil), path...)
-	if len(path) >= maxBox {
-		return maxPath
-	}
-	// Iterate candidates deterministically via the tail's nets rather
-	// than map order.
-	tail := path[len(path)-1]
-	for _, cand := range outInSuccessors(tail) {
-		if !remaining[cand] || contains(path, cand) {
-			continue
-		}
-		delete(remaining, cand)
-		p := longestPath(d, append(path, cand), remaining, maxBox)
-		remaining[cand] = true
-		if len(p) > len(maxPath) {
-			maxPath = p
-		}
-	}
-	return maxPath
-}
-
-func contains(path []*netlist.Module, m *netlist.Module) bool {
-	for _, x := range path {
-		if x == m {
+		f.remain[c] = false
+		f.path = append(f.path, c)
+		done := f.longestPath()
+		f.path = f.path[:len(f.path)-1]
+		f.remain[c] = true
+		if done {
 			return true
 		}
 	}
 	return false
 }
 
-// outInSuccessors returns, in deterministic order, the modules reachable
-// from m over a net that leaves m through an out/inout terminal and
-// enters the successor through an in/inout terminal — the string
-// connectivity condition of LONGEST_PATH.
-func outInSuccessors(m *netlist.Module) []*netlist.Module {
-	var out []*netlist.Module
-	seen := map[*netlist.Module]bool{}
-	for _, t := range m.Terms {
-		if t.Net == nil || !t.Type.CanDrive() {
-			continue
-		}
-		for _, u := range t.Net.Terms {
-			if u.Module == nil || u.Module == m || seen[u.Module] {
-				continue
-			}
-			if u.Type.CanSink() {
-				seen[u.Module] = true
-				out = append(out, u.Module)
-			}
+// ConstructRoots implements CONSTRUCT_ROOTS for one partition of d; see
+// former.isRoot.
+func ConstructRoots(d *netlist.Design, p *partition.Part) map[*netlist.Module]bool {
+	f := newFormer(netlist.NewIndex(d))
+	f.load(p)
+	roots := map[*netlist.Module]bool{}
+	for i, m := range p.Modules {
+		if f.roots[i] {
+			roots[m] = true
 		}
 	}
-	return out
+	return roots
 }
 
 // StringNet returns the net and terminal pair that links two successive

@@ -73,76 +73,8 @@ func TestRenderedOutputDeterministicWorkloads(t *testing.T) {
 				if parSVG != seqSVG {
 					t.Errorf("workers=%d: SVG rendering diverges from sequential", w)
 				}
-				// Parallel placement on top of parallel routing must
-				// still match the fully sequential artwork.
-				po.PlaceWorkers = w
-				bothASCII, bothSVG := renderPair(t, tc.build, po)
-				if bothASCII != seqASCII || bothSVG != seqSVG {
-					t.Errorf("place+route workers=%d: rendering diverges from sequential", w)
-				}
 			}
 		})
-	}
-}
-
-// TestRenderedOutputDeterministicPlaceWorkers is the placement twin of
-// the route sweep above: only PlaceWorkers varies, so a divergence
-// localizes to the placement engine rather than the router.
-func TestRenderedOutputDeterministicPlaceWorkers(t *testing.T) {
-	cases := []struct {
-		name  string
-		build func() *netlist.Design
-		opts  Options
-	}{
-		{"quickstart", workload.Quickstart,
-			Options{Place: place.Options{PartSize: 4, BoxSize: 4},
-				Route: route.Options{Claimpoints: true}}},
-		{"datapath", workload.Datapath16, DefaultOptions()},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			seqASCII, seqSVG := renderPair(t, tc.build, tc.opts)
-			for _, w := range renderBatteryWorkers {
-				po := tc.opts
-				po.PlaceWorkers = w
-				parASCII, parSVG := renderPair(t, tc.build, po)
-				if parASCII != seqASCII || parSVG != seqSVG {
-					t.Errorf("place workers=%d: rendered output diverges from sequential", w)
-				}
-			}
-		})
-	}
-}
-
-// TestPlaceWorkersReachesEngine asserts the pipeline-level PlaceWorkers
-// knob really reaches the placement engine (parallel stats appear) and
-// that an explicit Place.Workers wins over it.
-func TestPlaceWorkersReachesEngine(t *testing.T) {
-	opts := DefaultOptions()
-	opts.PlaceWorkers = 4
-	rep, err := Run(context.Background(), workload.Datapath16(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss := rep.Placement.Parallel
-	if ss == nil {
-		t.Fatal("PlaceWorkers=4 produced no parallel placement stats")
-	}
-	if ss.Workers < 2 {
-		t.Fatalf("parallel placement ran with %d workers", ss.Workers)
-	}
-	if ss.Committed != ss.Partitions {
-		t.Fatalf("committed %d of %d partitions", ss.Committed, ss.Partitions)
-	}
-	opts2 := DefaultOptions()
-	opts2.PlaceWorkers = 4
-	opts2.Place.Workers = 1
-	rep2, err := Run(context.Background(), workload.Datapath16(), opts2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Placement.Parallel != nil {
-		t.Fatal("Place.Workers=1 override did not force sequential placement")
 	}
 }
 

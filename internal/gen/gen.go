@@ -134,16 +134,6 @@ type Options struct {
 	// is already non-zero it wins, so callers building route.Options by
 	// hand keep full control.
 	RouteWorkers int
-	// PlaceWorkers sets the parallel placement worker count (place.
-	// Options.Workers): box formation and per-partition module/box
-	// placement run on up to this many goroutines with results
-	// committed in canonical partition order, so the placement — and
-	// therefore every routing attempt the degradation ladder makes on
-	// top of it — is byte-identical to the sequential path. 0 or 1
-	// places sequentially. When Place.Workers is already non-zero it
-	// wins, mirroring RouteWorkers. Only the paper placer parallelizes;
-	// the surveyed baseline placers ignore the knob.
-	PlaceWorkers int
 	// Inject, when non-nil, is propagated to the place.box and
 	// route.wavefront fault sites for deterministic chaos testing.
 	Inject *resilience.Injector

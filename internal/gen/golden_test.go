@@ -129,8 +129,8 @@ func goldenDiff(want, got []byte) string {
 }
 
 // TestGoldenCorpus pins the rendered artwork of every built-in
-// workload. The corpus is also the parallel-placement witness: each
-// case re-renders with PlaceWorkers=4 and must still match the pinned
+// workload. The corpus is also the parallel-routing witness: each case
+// re-renders with RouteWorkers=4 and must still match the pinned
 // bytes, so the goldens gate both "nothing drifted" and "parallel
 // equals sequential".
 func TestGoldenCorpus(t *testing.T) {
@@ -147,11 +147,10 @@ func TestGoldenCorpus(t *testing.T) {
 				return
 			}
 			par := tc
-			par.opts.PlaceWorkers = 4
 			par.opts.RouteWorkers = 4
 			parASCII, parSVG := goldenRender(t, par)
 			if !bytes.Equal(parASCII, ascii) || !bytes.Equal(parSVG, svg) {
-				t.Errorf("parallel (place=4, route=4) rendering diverges from the golden corpus")
+				t.Errorf("parallel (route=4) rendering diverges from the golden corpus")
 			}
 		})
 	}

@@ -138,13 +138,6 @@ func Run(ctx context.Context, d *netlist.Design, opts Options) (*Report, error) 
 		if d == nil {
 			return nil, fmt.Errorf("gen: Run needs a design (or Options.Placement)")
 		}
-		if opts.PlaceWorkers > 1 && opts.Place.Workers == 0 {
-			// The placement runs once, before the routing ladder; every
-			// ladder rung therefore inherits the parallel placement the
-			// same way it inherits RouteWorkers — through the single
-			// placement result all attempts route over.
-			opts.Place.Workers = opts.PlaceWorkers
-		}
 		sp := o.StartSpan("place")
 		t0 := time.Now()
 		err := resilience.Recover("place", func() error {
@@ -166,7 +159,6 @@ func Run(ctx context.Context, d *netlist.Design, opts Options) (*Report, error) 
 			sp.SetAttr("partitions", int64(len(pr.Parts)))
 			sp.SetAttr("boxes", int64(boxes))
 		}
-		observePlaceParallel(o, sp, pr.Parallel)
 		sp.End()
 	}
 	rep.Placement = pr
@@ -378,26 +370,6 @@ func observeSpeculation(o *obs.Observer, asp *obs.Span, ss *route.SpecStats) {
 	m.SpecRequeues.Add(uint64(ss.Requeues))
 	for _, busy := range ss.WorkerBusy {
 		m.RouteWorkerBusy.Observe(time.Duration(busy * float64(time.Second)))
-	}
-}
-
-// observePlaceParallel records a parallel placement's scheduler
-// outcome on the place span and in the observer's metric sink
-// (netart_place_speculation_total and the per-worker busy histogram).
-// A nil SpecStats (sequential placement) records nothing.
-func observePlaceParallel(o *obs.Observer, sp *obs.Span, ss *place.SpecStats) {
-	if ss == nil {
-		return
-	}
-	sp.SetAttr("workers", int64(ss.Workers))
-	sp.SetAttr("par_partitions", int64(ss.Partitions))
-	m := o.Metrics()
-	if m == nil {
-		return
-	}
-	m.PlaceSpecCommitted.Add(uint64(ss.Committed))
-	for _, busy := range ss.WorkerBusy {
-		m.PlaceWorkerBusy.Observe(time.Duration(busy * float64(time.Second)))
 	}
 }
 

@@ -333,10 +333,12 @@ func (o Orient) RotatePoint(p Point, w, h int) Point {
 	}
 }
 
+// ccw is one CCW quarter turn: left->down, down->right, right->up,
+// up->left.
+var ccw = [...]Dir{Left: Down, Down: Right, Right: Up, Up: Left}
+
 // RotateDir maps a side/direction through the rotation.
 func (o Orient) RotateDir(d Dir) Dir {
-	// One CCW quarter turn: left->down, down->right, right->up, up->left.
-	ccw := map[Dir]Dir{Left: Down, Down: Right, Right: Up, Up: Left}
 	for i := 0; i < int(o); i++ {
 		d = ccw[d]
 	}

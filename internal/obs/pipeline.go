@@ -108,17 +108,6 @@ type Pipeline struct {
 	JobsEvicted   *Counter
 	JobsEvents    *Counter
 
-	// Placement scheduler counters of the parallel placement engine:
-	// partition tasks share no mutable state, so — unlike routing
-	// speculations — every examined task commits; the single
-	// "committed" outcome keeps the metric shape parallel to
-	// netart_route_speculation_total while staying honest about the
-	// scheduler's conflict-free construction.
-	PlaceSpecCommitted *Counter
-	// PlaceWorkerBusy records each placement worker's busy wall time,
-	// one observation per worker per parallel placement.
-	PlaceWorkerBusy *Histogram
-
 	stages map[string]*Histogram
 }
 
@@ -223,12 +212,6 @@ func NewPipeline() *Pipeline {
 		"Job records evicted from the ring (TTL expiry or capacity pressure).", "")
 	p.JobsEvents = reg.Counter("netart_jobs_events_total",
 		"Progress events appended to job event logs.", "")
-
-	p.PlaceSpecCommitted = reg.Counter("netart_place_speculation_total",
-		"Parallel-placement scheduler outcomes (partition tasks are conflict-free, so every task commits).",
-		`outcome="committed"`)
-	p.PlaceWorkerBusy = reg.Histogram("netart_place_worker_busy_seconds",
-		"Busy wall time per placement worker per parallel placement.", "")
 
 	p.stages = make(map[string]*Histogram, len(StageNames))
 	for _, name := range StageNames {

@@ -112,7 +112,7 @@ func TestMaxConnectionsLimitsGrowth(t *testing.T) {
 func TestPartitionSubset(t *testing.T) {
 	d := workload.Datapath16()
 	sub := d.Modules[:8]
-	parts := PartitionSubset(d, sub, Config{MaxSize: 3})
+	parts := PartitionSubset(netlist.NewIndex(d), sub, Config{MaxSize: 3})
 	checkIsPartition(t, d, parts, sub)
 	inSub := map[*netlist.Module]bool{}
 	for _, m := range sub {
@@ -130,7 +130,7 @@ func TestPartitionSubset(t *testing.T) {
 func TestPartitionSubsetDeduplicates(t *testing.T) {
 	d := workload.Fig61()
 	dup := append(append([]*netlist.Module{}, d.Modules...), d.Modules[0])
-	parts := PartitionSubset(d, dup, Config{MaxSize: 2})
+	parts := PartitionSubset(netlist.NewIndex(d), dup, Config{MaxSize: 2})
 	checkIsPartition(t, d, parts, d.Modules)
 }
 

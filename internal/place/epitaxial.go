@@ -190,3 +190,19 @@ func bestWireLengthOrigin(res *Result, m *netlist.Module, target geom.Point,
 func spacing0(m *netlist.Module, side geom.Dir, slack int) int {
 	return spacing(m, geom.R0, side, 0) + (slack - 1)
 }
+
+// chebyshevRing enumerates the grid points at Chebyshev distance r from
+// c.
+func chebyshevRing(c geom.Point, r int) []geom.Point {
+	if r == 0 {
+		return []geom.Point{c}
+	}
+	out := make([]geom.Point, 0, 8*r)
+	for x := -r; x <= r; x++ {
+		out = append(out, c.Add(geom.Pt(x, r)), c.Add(geom.Pt(x, -r)))
+	}
+	for y := -r + 1; y <= r-1; y++ {
+		out = append(out, c.Add(geom.Pt(r, y)), c.Add(geom.Pt(-r, y)))
+	}
+	return out
+}

@@ -2,6 +2,7 @@ package place
 
 import (
 	"math"
+	"slices"
 
 	"netart/internal/geom"
 	"netart/internal/netlist"
@@ -19,61 +20,125 @@ func (p fpoint) sub(q fpoint) geom.Point {
 	return geom.Pt(int(math.Round(p.x-q.x)), int(math.Round(p.y-q.y)))
 }
 
-// modSet collects the modules of a placed box.
-func (pb *placedBox) modSet() map[*netlist.Module]bool {
-	s := map[*netlist.Module]bool{}
-	for _, pm := range pb.mods {
-		s[pm.Mod] = true
-	}
-	return s
+// groups keeps the shared-net counts of SELECT_NEXT_BOX and
+// PARTITION_PLACEMENT while groups of modules (the boxes of one
+// partition, or the partitions) are placed one by one: for every
+// pending group, the number of nets it shares with the placed groups. Placing a group makes one pass over its nets; each net the
+// placed groups touch for the first time credits every pending group on
+// it once.
+type groups struct {
+	ix      *netlist.Index
+	members [][]int
+	of      []int32  // per module: group + 1, 0 outside every group
+	placed  []bool   // per group
+	conn    []int    // per group: nets shared with the placed groups
+	last    []int32  // per group: the net that last credited it
+	touched []uint32 // per net: == round once a placed group touches it
+	shared  []uint32 // per net: == pick while it is shared by the picked group
+	round   uint32
+	pick    uint32
 }
 
-// sharedNets returns the nets that have a terminal in set a and a
-// terminal in set b.
-func sharedNets(d *netlist.Design, a, b map[*netlist.Module]bool) map[*netlist.Net]bool {
-	out := map[*netlist.Net]bool{}
-	for _, n := range d.Nets {
-		inA, inB := false, false
-		for _, t := range n.Terms {
-			if t.Module == nil {
-				continue
-			}
-			if a[t.Module] {
-				inA = true
-			}
-			if b[t.Module] {
-				inB = true
-			}
-		}
-		if inA && inB {
-			out[n] = true
-		}
+func newGroups(ix *netlist.Index) *groups {
+	return &groups{
+		ix:      ix,
+		of:      make([]int32, len(ix.Design.Modules)),
+		touched: make([]uint32, len(ix.Design.Nets)),
+		shared:  make([]uint32, len(ix.Design.Nets)),
 	}
-	return out
 }
 
-// gravity averages the positions of the terminals of mods that lie on
-// one of the given nets. pos maps a placed module to the function
-// giving absolute terminal positions. ok is false when no terminal
-// qualifies.
-func gravity(mods []*PlacedModule, origin geom.Point, nets map[*netlist.Net]bool) (fpoint, bool) {
-	var sx, sy float64
-	n := 0
-	for _, pm := range mods {
-		for _, t := range pm.Mod.Terms {
-			if t.Net == nil || !nets[t.Net] {
-				continue
-			}
-			p := origin.Add(pm.TermPos(t))
-			sx += float64(p.X)
-			sy += float64(p.Y)
-			n++
+// reset starts a round over new groups, given by their modules.
+func (g *groups) reset(members [][]int) {
+	for _, ms := range g.members {
+		for _, m := range ms {
+			g.of[m] = 0
 		}
 	}
-	if n == 0 {
-		return fpoint{}, false
+	g.members = members
+	for i, ms := range members {
+		for _, m := range ms {
+			g.of[m] = int32(i + 1)
+		}
 	}
-	return fpoint{sx / float64(n), sy / float64(n)}, true
+	n := len(members)
+	g.placed = slices.Grow(g.placed[:0], n)[:n]
+	g.conn = slices.Grow(g.conn[:0], n)[:n]
+	g.last = slices.Grow(g.last[:0], n)[:n]
+	for i := range members {
+		g.placed[i], g.conn[i], g.last[i] = false, 0, -1
+	}
+	g.round++
+}
+
+// next returns the position in pending of the group sharing the most
+// nets with the placed groups, the first one on ties.
+func (g *groups) next(pending []int) int {
+	best := 0
+	for i, grp := range pending {
+		if g.conn[grp] > g.conn[pending[best]] {
+			best = i
+		}
+	}
+	return best
+}
+
+// place marks grp placed. It first marks the nets grp shares with the
+// groups placed before it, which gravity then reads.
+func (g *groups) place(grp int) {
+	g.pick++
+	g.placed[grp] = true
+	for _, m := range g.members[grp] {
+		for _, u := range g.ix.ModNets[m] {
+			if g.touched[u.Net] == g.round {
+				g.shared[u.Net] = g.pick
+			}
+		}
+	}
+	for _, m := range g.members[grp] {
+		for _, u := range g.ix.ModNets[m] {
+			n := u.Net
+			if g.touched[n] == g.round {
+				continue
+			}
+			g.touched[n] = g.round
+			for _, v := range g.ix.NetMods[n] {
+				if v < 0 || g.of[v] == 0 {
+					continue
+				}
+				if h := g.of[v] - 1; !g.placed[h] && g.last[h] != n {
+					g.last[h] = n
+					g.conn[h]++
+				}
+			}
+		}
+	}
+}
+
+// termSum is a running sum of terminal positions.
+type termSum struct{ x, y, n int }
+
+// mean is the gravity center of the summed terminals. The sums are
+// exact integers, so one division gives the float mean the paper's
+// per-terminal float sums give.
+func (s termSum) mean() fpoint {
+	return fpoint{float64(s.x) / float64(s.n), float64(s.y) / float64(s.n)}
+}
+
+// addGravity adds to s the positions, offset by origin, of the
+// terminals of mods (with design module ids) that lie on a net the
+// last placed group shares with the groups placed before it.
+func (g *groups) addGravity(s *termSum, mods []*PlacedModule, ids []int, origin geom.Point) {
+	for i, pm := range mods {
+		for k, t := range pm.Mod.Terms {
+			if net := g.ix.TermNet[ids[i]][k]; net >= 0 && g.shared[net] == g.pick {
+				p := origin.Add(pm.TermPos(t))
+				s.x += p.X
+				s.y += p.Y
+				s.n++
+			}
+		}
+	}
 }
 
 // placeBoxesInPartition implements BOX_PLACEMENT for one partition: the
@@ -82,7 +147,7 @@ func gravity(mods []*PlacedModule, origin geom.Point, nets map[*netlist.Net]bool
 // distance between the gravity centers of the shared-net terminals.
 // Box origins are normalized so the partition's lower-left is (0,0);
 // pp.size receives the partition bounding box inflated by PartSpacing.
-func placeBoxesInPartition(d *netlist.Design, pp *placedPart, opts Options) {
+func (pl *placer) placeBoxesInPartition(pp *placedPart) {
 	if len(pp.boxes) == 0 {
 		pp.size = geom.Pt(0, 0)
 		return
@@ -98,7 +163,15 @@ func placeBoxesInPartition(d *netlist.Design, pp *placedPart, opts Options) {
 	pp.boxes[0], pp.boxes[first] = pp.boxes[first], pp.boxes[0]
 	pp.boxes[0].origin = geom.Pt(0, 0)
 
+	members := make([][]int, len(pp.boxes))
+	for i, pb := range pp.boxes {
+		members[i] = pb.ids
+	}
+	g := pl.groups
+	g.reset(members)
+	g.place(0)
 	placedRects := []geom.Rect{{Min: geom.Pt(0, 0), Max: pp.boxes[0].size}}
+	ext := placedRects[0]
 	placedIdx := []int{0}
 	pending := make([]int, 0, len(pp.boxes)-1)
 	for i := 1; i < len(pp.boxes); i++ {
@@ -107,78 +180,53 @@ func placeBoxesInPartition(d *netlist.Design, pp *placedPart, opts Options) {
 
 	for len(pending) > 0 {
 		// SELECT_NEXT_BOX: most nets shared with the placed boxes.
-		placedSet := map[*netlist.Module]bool{}
-		for _, i := range placedIdx {
-			for m := range pp.boxes[i].modSet() {
-				placedSet[m] = true
-			}
-		}
-		bestI, bestConn := 0, -1
-		for pi, i := range pending {
-			conn := len(sharedNets(d, pp.boxes[i].modSet(), placedSet))
-			if conn > bestConn {
-				bestI, bestConn = pi, conn
-			}
-		}
+		bestI := g.next(pending)
 		i := pending[bestI]
 		pending = append(pending[:bestI], pending[bestI+1:]...)
 		pb := pp.boxes[i]
+		g.place(i)
 
-		nets := sharedNets(d, pb.modSet(), placedSet)
-		g0, ok0 := gravity(pb.mods, geom.Pt(0, 0), nets)
-		var g1 fpoint
-		ok1 := false
-		if ok0 {
-			var sx, sy float64
-			n := 0
+		var own termSum
+		g.addGravity(&own, pb.mods, pb.ids, geom.Pt(0, 0))
+		var fx, fy float64
+		n1 := 0
+		if own.n > 0 {
 			for _, j := range placedIdx {
 				q := pp.boxes[j]
-				if g, ok := gravity(q.mods, q.origin, nets); ok {
-					// gravity returns a mean; re-weight by recomputing
-					// the sums from each placed box.
-					cnt := termCount(q.mods, nets)
-					sx += g.x * float64(cnt)
-					sy += g.y * float64(cnt)
-					n += cnt
+				var qs termSum
+				g.addGravity(&qs, q.mods, q.ids, q.origin)
+				if qs.n > 0 {
+					// Weight each placed box's own center by its
+					// terminal count.
+					c := qs.mean()
+					fx += c.x * float64(qs.n)
+					fy += c.y * float64(qs.n)
+					n1 += qs.n
 				}
-			}
-			if n > 0 {
-				g1 = fpoint{sx / float64(n), sy / float64(n)}
-				ok1 = true
 			}
 		}
 		var target geom.Point
-		if ok0 && ok1 {
-			target = g1.sub(g0)
+		if own.n > 0 && n1 > 0 {
+			target = fpoint{fx / float64(n1), fy / float64(n1)}.sub(own.mean())
 		} else {
 			// No shared nets: abut to the right of what is placed.
-			target = geom.Pt(boundsOf(placedRects).Max.X+1, 0)
+			target = geom.Pt(ext.Max.X+1, 0)
 		}
-		pb.origin = bestFreeOrigin(target, pb.size, placedRects, opts.BoxSpacing)
-		placedRects = append(placedRects, geom.Rect{Min: pb.origin, Max: pb.origin.Add(pb.size)})
+		pb.origin = pl.origins.best(target, pb.size, placedRects, pl.opts.BoxSpacing)
+		r := geom.Rect{Min: pb.origin, Max: pb.origin.Add(pb.size)}
+		placedRects = append(placedRects, r)
+		ext = ext.Union(r)
 		placedIdx = append(placedIdx, i)
 	}
 
 	// Normalize: shift so the partition's own lower-left is (0,0) plus
 	// the partition margin.
-	b := boundsOf(placedRects)
-	shift := geom.Pt(opts.PartSpacing-b.Min.X, opts.PartSpacing-b.Min.Y)
+	b := ext
+	shift := geom.Pt(pl.opts.PartSpacing-b.Min.X, pl.opts.PartSpacing-b.Min.Y)
 	for _, pb := range pp.boxes {
 		pb.origin = pb.origin.Add(shift)
 	}
-	pp.size = geom.Pt(b.Dx()+2*opts.PartSpacing, b.Dy()+2*opts.PartSpacing)
-}
-
-func termCount(mods []*PlacedModule, nets map[*netlist.Net]bool) int {
-	n := 0
-	for _, pm := range mods {
-		for _, t := range pm.Mod.Terms {
-			if t.Net != nil && nets[t.Net] {
-				n++
-			}
-		}
-	}
-	return n
+	pp.size = geom.Pt(b.Dx()+2*pl.opts.PartSpacing, b.Dy()+2*pl.opts.PartSpacing)
 }
 
 func boundsOf(rects []geom.Rect) geom.Rect {
@@ -193,78 +241,52 @@ func boundsOf(rects []geom.Rect) geom.Rect {
 	return b
 }
 
-// partModSet collects all modules of a placed partition.
-func (pp *placedPart) partModSet() map[*netlist.Module]bool {
-	s := map[*netlist.Module]bool{}
+// modIDs lists the design module ids of a placed partition.
+func (pp *placedPart) modIDs() []int {
 	if pp.fixed {
-		for _, pm := range pp.mods {
-			s[pm.Mod] = true
-		}
+		return pp.ids
+	}
+	var ids []int
+	for _, pb := range pp.boxes {
+		ids = append(ids, pb.ids...)
+	}
+	return ids
+}
+
+// partGravity sums the terminal positions of pp's modules on the
+// shared nets, with box origins applied and the partition origin added
+// when absolute is true.
+func (g *groups) partGravity(pp *placedPart, absolute bool) termSum {
+	var s termSum
+	if pp.fixed {
+		g.addGravity(&s, pp.mods, pp.ids, geom.Pt(0, 0)) // already absolute
 		return s
 	}
 	for _, pb := range pp.boxes {
-		for _, pm := range pb.mods {
-			s[pm.Mod] = true
+		origin := pb.origin
+		if absolute {
+			origin = origin.Add(pp.origin)
 		}
+		g.addGravity(&s, pb.mods, pb.ids, origin)
 	}
 	return s
-}
-
-// partGravity averages the terminal positions of pp's modules on the
-// given nets, with box origins applied and the partition origin added
-// when absolute is true.
-func (pp *placedPart) partGravity(nets map[*netlist.Net]bool, absolute bool) (fpoint, int) {
-	var sx, sy float64
-	n := 0
-	addTerm := func(p geom.Point) {
-		sx += float64(p.X)
-		sy += float64(p.Y)
-		n++
-	}
-	if pp.fixed {
-		for _, pm := range pp.mods {
-			for _, t := range pm.Mod.Terms {
-				if t.Net != nil && nets[t.Net] {
-					addTerm(pm.TermPos(t)) // already absolute
-				}
-			}
-		}
-	} else {
-		for _, pb := range pp.boxes {
-			for _, pm := range pb.mods {
-				for _, t := range pm.Mod.Terms {
-					if t.Net == nil || !nets[t.Net] {
-						continue
-					}
-					p := pb.origin.Add(pm.TermPos(t))
-					if absolute {
-						p = p.Add(pp.origin)
-					}
-					addTerm(p)
-				}
-			}
-		}
-	}
-	if n == 0 {
-		return fpoint{}, 0
-	}
-	return fpoint{sx / float64(n), sy / float64(n)}, n
 }
 
 // pinnedPartition builds the pseudo partition holding the manually
 // preplaced modules (PABLO -g: "the preplaced part will form a partition
 // on its own"). Returns nil when nothing is pinned.
-func pinnedPartition(d *netlist.Design, opts Options) *placedPart {
+func pinnedPartition(ix *netlist.Index, opts Options) *placedPart {
 	if len(opts.Fixed) == 0 {
 		return nil
 	}
 	pp := &placedPart{fixed: true}
-	for _, m := range d.Modules {
+	for id, m := range ix.Design.Modules {
 		fx, ok := opts.Fixed[m]
 		if !ok {
 			continue
 		}
 		pp.mods = append(pp.mods, &PlacedModule{Mod: m, Pos: fx.Pos, Orient: fx.Orient})
+		pp.ids = append(pp.ids, id)
 	}
 	var b geom.Rect
 	for i, pm := range pp.mods {
@@ -296,193 +318,288 @@ func pinnedPartition(d *netlist.Design, opts Options) *placedPart {
 // most modules (or the pinned preplaced partition) is placed first; each
 // following partition is the most heavily connected one and lands at the
 // free position minimizing the gravity center distance.
-func placePartitions(d *netlist.Design, parts []*placedPart, pinned *placedPart, opts Options) {
-	var placed []*placedPart
-	var placedRects []geom.Rect
-	pending := append([]*placedPart(nil), parts...)
-
+func (pl *placer) placePartitions(parts []*placedPart, pinned *placedPart) {
+	all := parts
 	if pinned != nil {
-		placed = append(placed, pinned)
-		placedRects = append(placedRects, geom.Rect{Min: pinned.origin, Max: pinned.origin.Add(pinned.size)})
-	} else if len(pending) > 0 {
-		first := 0
-		for i, pp := range pending {
-			if len(pp.partModSet()) > len(pending[first].partModSet()) {
+		all = append([]*placedPart{pinned}, parts...)
+	}
+	if len(all) == 0 {
+		return
+	}
+	members := make([][]int, len(all))
+	for i, pp := range all {
+		members[i] = pp.modIDs()
+	}
+	first := 0
+	if pinned == nil {
+		for i, ms := range members {
+			if len(ms) > len(members[first]) {
 				first = i
 			}
 		}
-		p := pending[first]
-		pending = append(pending[:first], pending[first+1:]...)
-		p.origin = geom.Pt(0, 0)
-		placed = append(placed, p)
-		placedRects = append(placedRects, geom.Rect{Min: p.origin, Max: p.origin.Add(p.size)})
+		all[first].origin = geom.Pt(0, 0)
+	}
+	g := pl.groups
+	g.reset(members)
+	g.place(first)
+	placed := []*placedPart{all[first]}
+	placedRects := []geom.Rect{{Min: all[first].origin, Max: all[first].origin.Add(all[first].size)}}
+	ext := placedRects[0]
+	pending := make([]int, 0, len(all)-1)
+	for i := range all {
+		if i != first {
+			pending = append(pending, i)
+		}
 	}
 
 	for len(pending) > 0 {
-		placedSet := map[*netlist.Module]bool{}
-		for _, pp := range placed {
-			for m := range pp.partModSet() {
-				placedSet[m] = true
-			}
-		}
-		bestI, bestConn := 0, -1
-		for i, pp := range pending {
-			conn := len(sharedNets(d, pp.partModSet(), placedSet))
-			if conn > bestConn {
-				bestI, bestConn = i, conn
-			}
-		}
-		pp := pending[bestI]
+		bestI := g.next(pending)
+		pp := all[pending[bestI]]
+		g.place(pending[bestI])
 		pending = append(pending[:bestI], pending[bestI+1:]...)
 
-		nets := sharedNets(d, pp.partModSet(), placedSet)
-		g0, n0 := pp.partGravity(nets, false)
-		var g1 fpoint
+		own := g.partGravity(pp, false)
+		var fx, fy float64
 		n1 := 0
-		{
-			var sx, sy float64
-			for _, q := range placed {
-				g, n := q.partGravity(nets, true)
-				sx += g.x * float64(n)
-				sy += g.y * float64(n)
-				n1 += n
-			}
-			if n1 > 0 {
-				g1 = fpoint{sx / float64(n1), sy / float64(n1)}
+		for _, q := range placed {
+			if qs := g.partGravity(q, true); qs.n > 0 {
+				c := qs.mean()
+				fx += c.x * float64(qs.n)
+				fy += c.y * float64(qs.n)
+				n1 += qs.n
 			}
 		}
 		var target geom.Point
-		if n0 > 0 && n1 > 0 {
-			target = g1.sub(g0)
+		if own.n > 0 && n1 > 0 {
+			target = fpoint{fx / float64(n1), fy / float64(n1)}.sub(own.mean())
 		} else {
-			target = geom.Pt(boundsOf(placedRects).Max.X+1, 0)
+			target = geom.Pt(ext.Max.X+1, 0)
 		}
-		pp.origin = bestFreeOrigin(target, pp.size, placedRects, opts.PartSpacing)
+		pp.origin = pl.origins.best(target, pp.size, placedRects, pl.opts.PartSpacing)
 		placed = append(placed, pp)
-		placedRects = append(placedRects, geom.Rect{Min: pp.origin, Max: pp.origin.Add(pp.size)})
+		r := geom.Rect{Min: pp.origin, Max: pp.origin.Add(pp.size)}
+		placedRects = append(placedRects, r)
+		ext = ext.Union(r)
 	}
 }
 
-// bestFreeOrigin finds the origin closest to target (squared Euclidean
-// distance, the paper's criterion in PLACE_BOX / PLACE_PARTITION) such
-// that the rectangle of the given size, inflated by spacing, overlaps
-// none of the placed rectangles. The ring search is exact: a candidate
-// found at distance d is only accepted once every ring with minimum
-// distance <= d has been scanned.
-func bestFreeOrigin(target, size geom.Point, placed []geom.Rect, spacing int) geom.Point {
-	free := func(p geom.Point) bool {
-		r := geom.Rect{Min: p, Max: p.Add(size)}.Inset(-spacing)
-		for _, q := range placed {
-			if r.Overlaps(q) {
-				return false
-			}
-		}
-		return true
-	}
-	if len(placed) == 0 {
-		return target
-	}
-	ext := boundsOf(placed)
-	// Anything beyond the placed extent plus our own size is certainly
-	// free, so the search terminates within this radius.
-	limit := ext.Dx() + ext.Dy() + size.X + size.Y + 2*spacing + 4
+// originSearch finds free origins; it keeps its scratch space between
+// calls.
+type originSearch struct {
+	blocked []geom.Rect // inclusive ranges of blocked origins
+	xs      []int
+	spans   []geom.Interval
+}
 
-	best := geom.Point{}
-	bestD := math.MaxInt
-	found := false
-	for r := 0; r <= limit; r++ {
-		if found && bestD <= r*r {
+// best finds the origin closest to target (squared Euclidean distance,
+// the paper's criterion in PLACE_BOX / PLACE_PARTITION) such that the
+// rectangle of the given size, inflated by spacing, overlaps none of
+// the placed rectangles. Ties go to the smaller Chebyshev ring around
+// target, then to the earlier point in chebyshevRing order: the point
+// an exact ring-by-ring search meets first.
+//
+// Each placed rectangle blocks a box of origins. A winner p needs no
+// search beyond the box edges: if p.X != target.X, the point one track
+// closer to target.X is strictly closer, so a blocked box holds it and
+// p.X lies just outside that box's x range. Hence p.X is target.X or
+// one track outside a box, and p.Y is a free y of that column nearest
+// to target.Y. Columns are visited by distance from target.X, stopping
+// once the column alone is farther than the best point found. Every
+// column has free points above and below all boxes, so the search
+// cannot fail.
+func (s *originSearch) best(target, size geom.Point, placed []geom.Rect, spacing int) geom.Point {
+	if size.X+2*spacing <= 0 || size.Y+2*spacing <= 0 {
+		return target // an empty rectangle overlaps nothing
+	}
+	s.blocked, s.xs = s.blocked[:0], append(s.xs[:0], target.X)
+	for _, q := range placed {
+		if q.Empty() {
+			continue
+		}
+		b := geom.Rect{
+			Min: geom.Pt(q.Min.X-size.X-spacing+1, q.Min.Y-size.Y-spacing+1),
+			Max: geom.Pt(q.Max.X+spacing-1, q.Max.Y+spacing-1),
+		}
+		s.blocked = append(s.blocked, b)
+		s.xs = append(s.xs, b.Min.X-1, b.Max.X+1)
+	}
+	// Sorted by Min.Y, each column's blocked spans come out sorted.
+	slices.SortFunc(s.blocked, func(a, b geom.Rect) int { return a.Min.Y - b.Min.Y })
+	slices.SortFunc(s.xs, func(a, b int) int {
+		if c := geom.Abs(a-target.X) - geom.Abs(b-target.X); c != 0 {
+			return c
+		}
+		return a - b
+	})
+
+	best, bestD := target, math.MaxInt
+	for i, x := range s.xs {
+		dx := x - target.X
+		if dx*dx > bestD {
 			break
 		}
-		for _, p := range chebyshevRing(target, r) {
-			if !free(p) {
-				continue
-			}
-			if d := p.SqDist(target); d < bestD {
-				best, bestD, found = p, d, true
+		if i > 0 && x == s.xs[i-1] {
+			continue
+		}
+		lo, hi := s.freeY(x, target.Y)
+		for _, y := range [2]int{lo, hi} {
+			p := geom.Pt(x, y)
+			if d := p.SqDist(target); d < bestD || (d == bestD && ringBefore(p.Sub(target), best.Sub(target))) {
+				best, bestD = p, d
 			}
 		}
-	}
-	if !found {
-		// Unreachable in practice; fall back to the right of everything.
-		return geom.Pt(ext.Max.X+spacing+1, target.Y)
 	}
 	return best
 }
 
-// chebyshevRing enumerates the grid points at Chebyshev distance r from
-// c.
-func chebyshevRing(c geom.Point, r int) []geom.Point {
-	if r == 0 {
-		return []geom.Point{c}
+// freeY returns the free origins of column x nearest to y from below
+// and from above (both y when y itself is free).
+func (s *originSearch) freeY(x, y int) (lo, hi int) {
+	s.spans = s.spans[:0]
+	for _, b := range s.blocked {
+		if b.Min.X <= x && x <= b.Max.X {
+			s.spans = append(s.spans, geom.Interval{Lo: b.Min.Y, Hi: b.Max.Y})
+		}
 	}
-	out := make([]geom.Point, 0, 8*r)
-	for x := -r; x <= r; x++ {
-		out = append(out, c.Add(geom.Pt(x, r)), c.Add(geom.Pt(x, -r)))
+	// Merge the spans into maximal blocked runs and find y's.
+	var run geom.Interval
+	open := false
+	for _, sp := range s.spans {
+		if open && sp.Lo <= run.Hi+1 {
+			run.Hi = geom.Max(run.Hi, sp.Hi)
+			continue
+		}
+		if open && run.Lo <= y && y <= run.Hi || sp.Lo > y {
+			break
+		}
+		run, open = sp, true
 	}
-	for y := -r + 1; y <= r-1; y++ {
-		out = append(out, c.Add(geom.Pt(r, y)), c.Add(geom.Pt(-r, y)))
+	if open && run.Lo <= y && y <= run.Hi {
+		return run.Lo - 1, run.Hi + 1
 	}
-	return out
+	return y, y
+}
+
+// ringBefore reports whether offset a comes before offset b in the
+// ring-by-ring order of chebyshevRing: smaller ring first, then within
+// a ring the top and bottom rows by x (top first), then the right and
+// left columns by y (right first).
+func ringBefore(a, b geom.Point) bool {
+	ra, pa := ringPos(a)
+	rb, pb := ringPos(b)
+	return ra < rb || (ra == rb && pa < pb)
+}
+
+func ringPos(p geom.Point) (r, pos int) {
+	r = geom.Max(geom.Abs(p.X), geom.Abs(p.Y))
+	switch {
+	case p.Y == r:
+		return r, 2 * (p.X + r)
+	case p.Y == -r:
+		return r, 2*(p.X+r) + 1
+	case p.X == r:
+		return r, 2*(2*r+1) + 2*(p.Y+r-1)
+	default:
+		return r, 2*(2*r+1) + 2*(p.Y+r-1) + 1
+	}
 }
 
 // placeTerminals implements TERMINAL_PLACEMENT (§4.6.7): every system
 // terminal goes to the free position on the ring one track outside the
 // module bounding box that is closest to the gravity center of the
-// subsystem terminals on its net.
+// subsystem terminals on its net. When a ring is full the search moves
+// two tracks further out, keeping a free track between rings.
 func placeTerminals(r *Result) {
 	if len(r.Design.SysTerms) == 0 {
 		return
 	}
-	ring := perimeterRing(r.ModuleBounds)
-	occupied := map[geom.Point]bool{}
 	// A ring position that is the outward escape cell of a connected
 	// subsystem terminal would make that terminal unroutable (its only
 	// approach track would be blocked); reserve those cells.
+	var ring terminalRing
+	ring.reset(r.ModuleBounds)
 	for _, m := range r.Design.Modules {
 		pm, ok := r.Mods[m]
 		if !ok {
 			continue
 		}
 		for _, tm := range m.Terms {
-			if tm.Net == nil {
-				continue
+			if tm.Net != nil {
+				ring.occupy(pm.TermPos(tm).Add(pm.TermSide(tm).Delta()))
 			}
-			out := pm.TermPos(tm).Add(pm.TermSide(tm).Delta())
-			occupied[out] = true
 		}
 	}
+	grow := 0
 	for _, st := range r.Design.SysTerms {
 		g, ok := terminalGravity(r, st)
 		if !ok {
 			g = r.ModuleBounds.Center()
 		}
-		best := geom.Point{}
-		bestD := math.MaxInt
-		for _, p := range ring {
-			if occupied[p] {
-				continue
-			}
-			if d := p.SqDist(g); d < bestD {
-				best, bestD = p, d
-			}
+		i := ring.nearest(g)
+		for i < 0 {
+			grow += 2
+			ring.reset(r.ModuleBounds.Inset(-grow))
+			i = ring.nearest(g)
 		}
-		// The ring always has more positions than terminals for any
-		// non-degenerate design; if it were exhausted we grow outward.
-		if bestD == math.MaxInt {
-			ring = perimeterRing(r.ModuleBounds.Inset(-2))
-			for _, p := range ring {
-				if occupied[p] {
-					continue
-				}
-				if d := p.SqDist(g); d < bestD {
-					best, bestD = p, d
-				}
-			}
-		}
-		occupied[best] = true
-		r.SysPos[st] = best
+		ring.used[i] = true
+		r.SysPos[st] = ring.pts[i]
 	}
+}
+
+// terminalRing is one perimeter ring with its occupied positions.
+type terminalRing struct {
+	b    geom.Rect // the ring runs one track outside b
+	pts  []geom.Point
+	used []bool
+}
+
+// reset makes the ring the one around b, in order: the bottom and top
+// rows by x, then the left and right columns by y. b
+// uses cell semantics (Max exclusive), but module symbols occupy their
+// outline points inclusively, so the ring runs from Min-1 to Max+1 in
+// point coordinates.
+func (tr *terminalRing) reset(b geom.Rect) {
+	tr.b = b
+	x0, y0 := b.Min.X-1, b.Min.Y-1
+	x1, y1 := b.Max.X+1, b.Max.Y+1
+	tr.pts = tr.pts[:0]
+	for x := x0; x <= x1; x++ {
+		tr.pts = append(tr.pts, geom.Pt(x, y0), geom.Pt(x, y1))
+	}
+	for y := y0 + 1; y <= y1-1; y++ {
+		tr.pts = append(tr.pts, geom.Pt(x0, y), geom.Pt(x1, y))
+	}
+	tr.used = slices.Grow(tr.used[:0], len(tr.pts))[:len(tr.pts)]
+	clear(tr.used)
+}
+
+// occupy marks p used when it lies on the ring.
+func (tr *terminalRing) occupy(p geom.Point) {
+	x0, y0 := tr.b.Min.X-1, tr.b.Min.Y-1
+	x1, y1 := tr.b.Max.X+1, tr.b.Max.Y+1
+	switch {
+	case p.X < x0 || p.X > x1 || p.Y < y0 || p.Y > y1:
+	case p.Y == y0:
+		tr.used[2*(p.X-x0)] = true
+	case p.Y == y1:
+		tr.used[2*(p.X-x0)+1] = true
+	case p.X == x0:
+		tr.used[2*(x1-x0+1)+2*(p.Y-y0-1)] = true
+	case p.X == x1:
+		tr.used[2*(x1-x0+1)+2*(p.Y-y0-1)+1] = true
+	}
+}
+
+// nearest returns the index of the free ring position closest to g,
+// the first in ring order on ties, or -1 when the ring is full.
+func (tr *terminalRing) nearest(g geom.Point) int {
+	best, bestD := -1, math.MaxInt
+	for i, p := range tr.pts {
+		if d := p.SqDist(g); !tr.used[i] && d < bestD {
+			best, bestD = i, d
+		}
+	}
+	return best
 }
 
 // terminalGravity returns the mean position of the subsystem terminals
@@ -509,21 +626,4 @@ func terminalGravity(r *Result, st *netlist.Terminal) (geom.Point, bool) {
 		return geom.Point{}, false
 	}
 	return geom.Pt(sx/n, sy/n), true
-}
-
-// perimeterRing lists the grid positions one track outside b. b uses
-// cell semantics (Max exclusive), but module symbols occupy their
-// outline points inclusively, so the ring runs from Min-1 to Max+1 in
-// point coordinates.
-func perimeterRing(b geom.Rect) []geom.Point {
-	x0, y0 := b.Min.X-1, b.Min.Y-1
-	x1, y1 := b.Max.X+1, b.Max.Y+1
-	var out []geom.Point
-	for x := x0; x <= x1; x++ {
-		out = append(out, geom.Pt(x, y0), geom.Pt(x, y1))
-	}
-	for y := y0 + 1; y <= y1-1; y++ {
-		out = append(out, geom.Pt(x0, y), geom.Pt(x1, y))
-	}
-	return out
 }

@@ -98,11 +98,9 @@ func MinCut(d *netlist.Design, spacing int) (*Result, error) {
 	// Legalize: place each module at the free position nearest its
 	// region target (region order keeps the global structure).
 	var placedRects []geom.Rect
+	var origins originSearch
 	for _, tg := range targets {
-		pos := tg.at
-		if len(placedRects) > 0 {
-			pos = bestFreeOrigin(tg.at, geom.Pt(tg.m.W, tg.m.H), placedRects, spacing)
-		}
+		pos := origins.best(tg.at, geom.Pt(tg.m.W, tg.m.H), placedRects, spacing)
 		pm := &PlacedModule{Mod: tg.m, Pos: pos}
 		res.Mods[tg.m] = pm
 		placedRects = append(placedRects, pm.Rect())

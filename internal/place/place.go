@@ -33,15 +33,6 @@ type Options struct {
 	// tests can force deterministic placement failures. Nil costs one
 	// pointer compare per box.
 	Inject *resilience.Injector
-	// Workers is the parallel placement worker count: box formation and
-	// the per-partition work (module placement inside every box plus
-	// the §4.6.5 center-of-gravity box placement) run on up to Workers
-	// goroutines, with results committed strictly in canonical
-	// partition order. 0 or 1 places sequentially. The parallel path is
-	// byte-identical to the sequential one for every design and option
-	// set (enforced by the determinism battery in parallel_test.go):
-	// the knob is an execution hint, never a result parameter.
-	Workers int
 }
 
 // Fixed pins one module at an absolute position and orientation.
@@ -110,12 +101,6 @@ type Result struct {
 	// encloses the system terminals.
 	ModuleBounds geom.Rect
 	Bounds       geom.Rect
-
-	// Parallel carries the parallel scheduler's diagnostics when the
-	// placement ran with Options.Workers > 1; nil for sequential runs.
-	// It is the only field that may differ between worker counts —
-	// everything else is byte-identical.
-	Parallel *SpecStats
 }
 
 // TermPos returns the absolute position of any terminal, subsystem or
@@ -218,8 +203,16 @@ func (r *Result) Verify() error {
 	return nil
 }
 
+// placer holds the bookkeeping of one Place call.
+type placer struct {
+	opts    Options
+	groups  *groups
+	origins originSearch
+}
+
 // Place runs the full placement phase of the paper.
 func Place(d *netlist.Design, opts Options) (*Result, error) {
+	ix := netlist.NewIndex(d)
 	// Split modules into preplaced and free.
 	var free []*netlist.Module
 	for _, m := range d.Modules {
@@ -228,32 +221,44 @@ func Place(d *netlist.Design, opts Options) (*Result, error) {
 		}
 	}
 
-	parts := partition.PartitionSubset(d, free, partition.Config{
+	parts := partition.PartitionSubset(ix, free, partition.Config{
 		MaxSize:        opts.PartSize,
 		MaxConnections: opts.MaxConnections,
 	})
-	bxs := boxes.Form(d, parts, boxes.Config{MaxBoxSize: opts.BoxSize, Workers: opts.Workers})
+	bxs := boxes.FormIndexed(ix, parts, boxes.Config{MaxBoxSize: opts.BoxSize})
 
 	// Module placement inside every box, then box placement inside
-	// every partition, all in local coordinates. Partitions are
-	// independent at this stage, so the work fans out over
-	// Options.Workers goroutines with results committed in canonical
-	// partition order (parallel.go); the sequential path is the
-	// Workers<=1 special case of the same task function.
-	placedParts, spec, err := placeParts(d, parts, bxs, opts)
-	if err != nil {
-		return nil, err
+	// every partition, all in local coordinates.
+	pl := &placer{opts: opts, groups: newGroups(ix)}
+	placedParts := make([]*placedPart, len(parts))
+	for i, p := range parts {
+		pp := &placedPart{part: p}
+		for _, b := range bxs[i] {
+			if err := opts.Inject.Fire(resilience.SitePlaceBox); err != nil {
+				return nil, fmt.Errorf("place: box placement: %w", err)
+			}
+			pb, err := placeBoxModules(b, opts)
+			if err != nil {
+				return nil, err
+			}
+			pb.ids = make([]int, len(b.Modules))
+			for j, m := range b.Modules {
+				pb.ids[j], _ = ix.ModID(m)
+			}
+			pp.boxes = append(pp.boxes, pb)
+		}
+		pl.placeBoxesInPartition(pp)
+		placedParts[i] = pp
 	}
 
 	// Partition placement in absolute coordinates, then composition.
 	res := &Result{
-		Design:   d,
-		Mods:     map[*netlist.Module]*PlacedModule{},
-		SysPos:   map[*netlist.Terminal]geom.Point{},
-		Parallel: spec,
+		Design: d,
+		Mods:   make(map[*netlist.Module]*PlacedModule, len(d.Modules)),
+		SysPos: make(map[*netlist.Terminal]geom.Point, len(d.SysTerms)),
 	}
-	pinned := pinnedPartition(d, opts)
-	placePartitions(d, placedParts, pinned, opts)
+	pinned := pinnedPartition(ix, opts)
+	pl.placePartitions(placedParts, pinned)
 
 	if pinned != nil {
 		for _, pm := range pinned.mods {
@@ -313,22 +318,30 @@ func fullBounds(r *Result) geom.Rect {
 // module: the number of distinct connected nets on that side plus one,
 // plus the user slack (Appendix E, -s).
 func spacing(m *netlist.Module, o geom.Orient, side geom.Dir, slack int) int {
-	seen := map[*netlist.Net]bool{}
 	count := 0
-	for _, t := range m.Terms {
-		if t.Net == nil || seen[t.Net] {
-			continue
-		}
-		orig, err := t.Side()
-		if err != nil {
-			continue
-		}
-		if o.RotateDir(orig) == side {
-			seen[t.Net] = true
+	for i, t := range m.Terms {
+		if t.Net != nil && onSide(t, o, side) && !netOnSide(m.Terms[:i], t.Net, o, side) {
 			count++
 		}
 	}
 	return count + 1 + slack
+}
+
+// onSide reports whether terminal t faces side once its module is
+// oriented o.
+func onSide(t *netlist.Terminal, o geom.Orient, side geom.Dir) bool {
+	orig, err := t.Side()
+	return err == nil && o.RotateDir(orig) == side
+}
+
+// netOnSide reports whether one of terms sits on net n and faces side.
+func netOnSide(terms []*netlist.Terminal, n *netlist.Net, o geom.Orient, side geom.Dir) bool {
+	for _, t := range terms {
+		if t.Net == n && onSide(t, o, side) {
+			return true
+		}
+	}
+	return false
 }
 
 // placedPart and placedBox are working structures in local coordinates.
@@ -338,12 +351,14 @@ type placedPart struct {
 	size   geom.Point
 	origin geom.Point // absolute, set by partition placement
 	mods   []*PlacedModule
-	fixed  bool // pinned preplaced pseudo partition
+	ids    []int // design module ids of mods
+	fixed  bool  // pinned preplaced pseudo partition
 }
 
 type placedBox struct {
 	box    *boxes.Box
 	mods   []*PlacedModule // positions local to the box (lower-left 0,0)
+	ids    []int           // design module ids of mods
 	size   geom.Point
 	origin geom.Point // local to the partition, set by box placement
 }

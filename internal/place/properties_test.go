@@ -12,11 +12,10 @@ import (
 // The property battery: instead of comparing against pinned output,
 // these tests re-derive the §4.6.4 invariants (white-space rule,
 // input-terminal orientation, minimum-bend lemma) via VerifyBoxes on
-// every named workload, a sweep of seeded random designs, and every
-// determinism-battery worker count. A placement can only pass by
-// actually satisfying the paper's construction, so the battery catches
-// classes of bugs byte-comparison cannot (e.g. a sequential and
-// parallel path that are identically wrong).
+// every named workload and a sweep of seeded random designs. A
+// placement can only pass by actually satisfying the paper's
+// construction, so the battery catches classes of bugs byte-comparison
+// cannot (e.g. a placer and its reference that are identically wrong).
 
 // placeVerified places the design and runs both verifiers.
 func placeVerified(t *testing.T, d *netlist.Design, opts Options) *Result {
@@ -59,10 +58,8 @@ func TestBoxPropertiesWorkloads(t *testing.T) {
 	}
 }
 
-// TestBoxPropertiesSeeded checks the invariants on random designs at
-// every battery worker count: the parallel engine must satisfy the
-// paper's construction, not merely match the sequential bytes. BoxSize
-// must be at least 2 so multi-module strings actually form.
+// TestBoxPropertiesSeeded checks the invariants on random designs.
+// BoxSize must be at least 2 so multi-module strings actually form.
 func TestBoxPropertiesSeeded(t *testing.T) {
 	seeds := int64(20)
 	if testing.Short() {
@@ -71,15 +68,13 @@ func TestBoxPropertiesSeeded(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			for _, w := range placeBatteryWorkers {
-				opts := Options{PartSize: 4, BoxSize: 3, ModSpacing: int(seed % 3), Workers: w}
-				res := placeVerified(t, workload.Random(12, seed), opts)
-				// Strings must actually exercise the multi-module
-				// invariants somewhere in the sweep: a corpus of
-				// singleton boxes would vacuously pass.
-				if seed == 0 && boxCount(res) == len(res.Design.Modules) {
-					t.Log("all boxes are singletons for this seed")
-				}
+			opts := Options{PartSize: 4, BoxSize: 3, ModSpacing: int(seed % 3)}
+			res := placeVerified(t, workload.Random(12, seed), opts)
+			// Strings must actually exercise the multi-module
+			// invariants somewhere in the sweep: a corpus of singleton
+			// boxes would vacuously pass.
+			if seed == 0 && boxCount(res) == len(res.Design.Modules) {
+				t.Log("all boxes are singletons for this seed")
 			}
 		})
 	}

@@ -27,8 +27,8 @@ import (
 //     crossing any module outline in the box.
 //
 // The property battery (properties_test.go) runs this on random
-// designs at every battery worker count, so the parallel engine is
-// held to the paper's invariants, not merely to sequential equality.
+// designs, so the placer is held to the paper's invariants, not merely
+// to equality with its reference.
 
 // VerifyBoxes checks the §4.6.4 module-placement invariants of every
 // placed box against the options the placement ran with. It returns

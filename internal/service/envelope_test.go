@@ -90,6 +90,8 @@ func TestErrorEnvelope(t *testing.T) {
 		{"unknown field", http.MethodPost, "/v2/generate", `{"warpdrive":true}`, 400},
 		{"retired route_window", http.MethodPost, "/v2/generate",
 			`{"workload":"fig61","options":{"route_window":"off"}}`, 400},
+		{"retired place_workers", http.MethodPost, "/v2/generate",
+			`{"workload":"fig61","options":{"place_workers":2}}`, 400},
 		{"unknown workload", http.MethodPost, "/v1/generate", `{"workload":"warp"}`, 400},
 		{"bad placer", http.MethodPost, "/v2/jobs",
 			`{"workload":"fig61","options":{"placer":"magic"}}`, 400},

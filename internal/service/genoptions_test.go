@@ -9,12 +9,10 @@ import (
 // cacheKeyExempt names the GenOptions fields that deliberately do NOT
 // participate in the cache key: execution hints whose outputs are
 // byte-identical to their sequential counterparts (enforced by the
-// determinism batteries in internal/route, internal/place and
-// internal/gen). Adding a field here without such a battery is a
-// cache-poisoning bug.
+// determinism batteries in internal/route and internal/gen). Adding a
+// field here without such a battery is a cache-poisoning bug.
 var cacheKeyExempt = map[string]bool{
 	"RouteWorkers": true,
-	"PlaceWorkers": true,
 }
 
 // nonDefaultFor returns a valid non-default value for one GenOptions
@@ -100,7 +98,6 @@ func TestGenOptionsJSONTagTable(t *testing.T) {
 		"Margin":         "margin",
 		"DegradeMode":    "degrade_mode",
 		"RouteWorkers":   "route_workers",
-		"PlaceWorkers":   "place_workers",
 	}
 	rt := reflect.TypeOf(GenOptions{})
 	if rt.NumField() != len(want) {

@@ -74,13 +74,6 @@ type Config struct {
 	// byte-identical results, so this only trades CPU for latency.
 	RouteWorkers int
 
-	// PlaceWorkers is the server-wide default for the placement
-	// engine's parallelism (place.Options.Workers); requests that carry
-	// their own place_workers override it. 0/1 places sequentially.
-	// Parallel and sequential placement produce byte-identical results,
-	// so this only trades CPU for latency.
-	PlaceWorkers int
-
 	// VerifyRouting re-derives every response's net connectivity from
 	// the routed wire geometry and rejects the response if it does not
 	// match the netlist (route.VerifyEquivalence). A failed check is a
@@ -703,9 +696,6 @@ func (s *Server) processObserved(ctx context.Context, req *Request, o *obs.Obser
 	}
 	if req.Options.RouteWorkers == 0 {
 		opts.RouteWorkers = s.cfg.RouteWorkers
-	}
-	if req.Options.PlaceWorkers == 0 {
-		opts.PlaceWorkers = s.cfg.PlaceWorkers
 	}
 	opts.Inject = s.cfg.Inject
 	opts.Observer = o

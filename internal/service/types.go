@@ -85,14 +85,6 @@ type GenOptions struct {
 	// sequential one, so this knob is an execution hint, not a result
 	// parameter: it deliberately does NOT participate in the cache key.
 	RouteWorkers int `json:"route_workers,omitempty"`
-
-	// PlaceWorkers sets the placement engine's parallelism (see
-	// place.Options.Workers); 0 inherits the server default, 1 forces
-	// sequential placement. Parallel placement commits partition tasks
-	// in canonical order and is byte-identical to the sequential path,
-	// so — exactly like route_workers — the knob is an execution hint
-	// and does NOT participate in the cache key.
-	PlaceWorkers int `json:"place_workers,omitempty"`
 }
 
 // resolve maps the JSON options onto gen.Options, filling defaults.
@@ -157,10 +149,6 @@ func (o GenOptions) resolve() (gen.Options, error) {
 		return opts, fmt.Errorf("route_workers must be >= 0, got %d", o.RouteWorkers)
 	}
 	opts.RouteWorkers = o.RouteWorkers
-	if o.PlaceWorkers < 0 {
-		return opts, fmt.Errorf("place_workers must be >= 0, got %d", o.PlaceWorkers)
-	}
-	opts.PlaceWorkers = o.PlaceWorkers
 	return opts, nil
 }
 
@@ -169,12 +157,11 @@ func (o GenOptions) resolve() (gen.Options, error) {
 // misses the cache. The degradation policy is passed in resolved form
 // because an empty request field inherits the server default — two
 // requests with different effective policies must never share a cache
-// entry. RouteWorkers and PlaceWorkers are deliberately absent: the
-// parallel router's and the parallel placement engine's outputs are
-// byte-identical to their sequential counterparts for every input
-// (enforced by the determinism batteries in internal/route,
-// internal/place and internal/gen), so requests differing only in
-// worker counts may — and should — share one cache entry.
+// entry. RouteWorkers is deliberately absent: the parallel router's
+// output is byte-identical to the sequential router's for every input
+// (enforced by the determinism batteries in internal/route and
+// internal/gen), so requests differing only in worker count may — and
+// should — share one cache entry.
 func (o GenOptions) canonical(degrade gen.DegradeMode) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "placer=%s part=%d box=%d conn=%d", orDefault(o.Placer, "paper"),
