@@ -2,12 +2,12 @@
 # ci.sh — the repo's test tiers.
 #
 #   tier 1 (default):  go vet + build + full test suite (shuffled)
-#                      (+ staticcheck when installed, + the parallel-
-#                      routing determinism batteries under -race, + the
+#                      (+ staticcheck when installed, + the routing
+#                      determinism batteries under -race, + the
 #                      golden-corpus check, + a coverage floor on the
 #                      placement packages, + 5s fuzz smokes of the
-#                      Appendix-A netlist parser, the journaled router
-#                      search, the word-level escape sweep and the
+#                      Appendix-A netlist parser, the router's search
+#                      sequence, the word-level escape sweep and the
 #                      placement reference battery,
 #                      + the observability allocation
 #                      guard, + the store-tier -race battery (LRU /
@@ -55,13 +55,13 @@ go build ./...
 echo "== go test ${RACE} -shuffle=on ./..."
 go test ${RACE} -shuffle=on ./...
 
-# Determinism batteries under the race detector: the parallel routing
-# scheduler must be data-race-free AND byte-identical to its sequential
-# twin (segments, plane cells, stats, ASCII, SVG), and the router's
-# final-wave sweep must match the unpruned reference loop (including a
-# parallel run). Tier 2's full -race pass above already covers them;
-# tier 1 runs just the batteries with -race -short so every default CI
-# run still proves the contract.
+# Determinism batteries under the race detector: one placement routed
+# from four goroutines at once, and four concurrent pipeline runs, must
+# be data-race-free AND byte-identical to a sequential run (segments,
+# plane cells, stats, ASCII, SVG), and the router's final-wave sweep
+# must match the unpruned reference loop. Tier 2's full -race pass
+# above already covers them; tier 1 runs just the batteries with -race
+# -short so every default CI run still proves the contract.
 if [ -z "${RACE}" ]; then
 	echo "== determinism batteries: go test -race -short -run 'Parallel|Rendered|WindowedMatchesFull' ./internal/route ./internal/gen"
 	go test -race -short -run 'Parallel|Rendered|WindowedMatchesFull' ./internal/route ./internal/gen
@@ -93,8 +93,8 @@ echo "$COV_OUT" | awk '
 ' || exit 1
 
 # Fuzz smoke: short bounded runs of the netlist parser fuzz target, of
-# the router's journaled full-plane search (flat and reference-loop
-# parity, read accounting, rollback), of the word-level escape sweep
+# the router's full-plane search sequence (reference-loop parity,
+# arena reuse), of the word-level escape sweep
 # and probe against the per-cell reference loop, and of the placer
 # against its map-based reference. Regressions show up as crashers
 # within seconds; the long exploratory runs stay a manual job
@@ -149,7 +149,7 @@ go test -race -timeout 120s -run 'TestFleetChaosBattery|TestSingleflightCollapse
 
 # Async job battery: the /v2/jobs lifecycle (cancel while queued,
 # cancel mid-route, TTL eviction, SSE disconnect, restart from the
-# disk store), the job-vs-sync byte-identity and SSE commit-order
+# disk store), the job-vs-sync byte-identity and SSE net-order
 # checks, and the jobs chaos gate (pipeline faults must surface as
 # failed job states, never as 5xx on the async HTTP surface) — all
 # under the race detector. Tier 2's full -race pass above already
@@ -172,12 +172,12 @@ go test -run TestAPISurface ./internal/service
 # Pipeline latency record: cold (full pipeline) and warm (cache hit)
 # generate latencies per built-in workload, as machine-readable JSON.
 # The -gate flag compares the fresh numbers against the committed
-# record: a cold route stage more than 20% over the committed
-# route_budget_ms (in practice: the life workload; the sub-millisecond
-# workloads are noise-exempt) fails the build, as does
-# parallel_speedup < 1.0 on hosts with 4+ CPUs. The fresh record goes
-# to a temporary file, so a passing run never moves the committed
-# baseline; regenerate BENCH_pipeline.json on purpose with
+# record: a best route time (the cold stage or the better of two
+# cache-off repeats) more than 20% over the committed route_budget_ms
+# (in practice: the life workload; the sub-millisecond workloads are
+# noise-exempt) fails the build. The fresh record goes to a temporary
+# file, so a passing run never moves the committed baseline;
+# regenerate BENCH_pipeline.json on purpose with
 # `go run ./cmd/benchpipe -out BENCH_pipeline.json`.
 BENCH_FRESH="$(mktemp)"
 SERVICE_FRESH="$(mktemp)"

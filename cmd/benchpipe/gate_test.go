@@ -24,21 +24,16 @@ func loadCommitted(t *testing.T) *benchFile {
 }
 
 // slowed returns a fresh-run stand-in for the committed results with
-// every route time of the named workloads multiplied by factor. The
-// parallel speedup is dropped so only the route budget is judged.
+// every route time of the named workloads multiplied by factor.
 func slowed(results []workloadResult, factor float64, names ...string) []workloadResult {
 	out := make([]workloadResult, len(results))
 	for i, r := range results {
-		r.ParallelSpeedup = 0
-		r.RouteSweep = append([]routeSweepPoint(nil), r.RouteSweep...)
 		for _, n := range names {
 			if r.Workload != n {
 				continue
 			}
 			r.ColdStages.Route = time.Duration(float64(r.ColdStages.Route) * factor)
-			for k := range r.RouteSweep {
-				r.RouteSweep[k].RouteMs *= factor
-			}
+			r.RepeatRouteMs *= factor
 		}
 		out[i] = r
 	}

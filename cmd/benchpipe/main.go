@@ -12,15 +12,6 @@
 // this as `go run ./cmd/benchpipe -out BENCH_pipeline.json` so every
 // build leaves a machine-readable latency record next to the binaries.
 //
-// A route-workers sweep rides along: each workload's route stage is
-// re-run (cache off) at every worker count in -route-workers, and the
-// per-workload parallel_speedup field reports sequential route time
-// over the best parallel route time. The record carries cpus and
-// gomaxprocs so a speedup of ~1.0 on a single-core runner reads as the
-// hardware fact it is, not a scheduler defect — the determinism
-// batteries, not this bench, are the parallel router's correctness
-// gate.
-//
 // With -service the bench targets the daemon tier instead: store
 // cold/warm tail latency over a tiered disk-backed store, restart
 // survival (hit rate and artwork identity across a stop/start over
@@ -32,11 +23,10 @@
 // BENCH_service.json.
 //
 // Each workload also records route_budget_ms — 1.2x its best observed
-// sequential route time (cold stage or workers<=1 sweep point). With
+// route time (cold stage or either of two cache-off repeats). With
 // -gate FILE the run loads the committed bench record first and fails
 // (after writing -out) when its own best route time exceeds the
-// committed budget, or when parallel_speedup falls below
-// 1.0 on a host with 4+ CPUs; CI runs
+// committed budget; CI runs
 // `benchpipe -gate BENCH_pipeline.json -out <temp file>` so a >20%
 // route-stage regression against the committed record fails the build
 // without the run replacing that record.
@@ -44,8 +34,7 @@
 // Usage:
 //
 //	benchpipe [-out BENCH_pipeline.json] [-workloads fig61,datapath,life]
-//	          [-warm-runs 5] [-route-workers 1,2,4,N]
-//	          [-gate BENCH_pipeline.json]
+//	          [-warm-runs 5] [-gate BENCH_pipeline.json]
 //	benchpipe -service [-out BENCH_service.json] [-workloads fig61,quickstart]
 package main
 
@@ -56,7 +45,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -78,33 +66,21 @@ type workloadResult struct {
 	// Speedup is ColdMs / WarmMs (0 when WarmMs is 0).
 	Speedup  float64 `json:"speedup"`
 	Unrouted int     `json:"unrouted"`
-	// RouteSweep is the route-stage latency at each -route-workers
-	// value (cache bypassed; best of two runs per point).
-	RouteSweep []routeSweepPoint `json:"route_sweep,omitempty"`
-	// ParallelSpeedup is the sequential route_ms over the best
-	// parallel route_ms in the sweep (0 when the sweep has no
-	// parallel points). On a single-core host this hovers around 1.0
-	// regardless of worker count — see cpus/gomaxprocs at the top
-	// level.
-	ParallelSpeedup float64 `json:"parallel_speedup,omitempty"`
+	// RepeatRouteMs is the best route stage of two repeats of the
+	// request with the cache bypassed (0 in records without repeats).
+	RepeatRouteMs float64 `json:"repeat_route_ms,omitempty"`
 	// RouteBudgetMs is the regression budget for this workload's route
-	// stage: 1.2x the best observed sequential route time (20% headroom
-	// over the committed number). The -gate flag of a later run compares
+	// stage: 1.2x the best observed route time (20% headroom over the
+	// committed number). The -gate flag of a later run compares
 	// its own best observation against the committed file's budget.
 	RouteBudgetMs float64 `json:"route_budget_ms,omitempty"`
-}
-
-// routeSweepPoint is one (worker count, route latency) sample.
-type routeSweepPoint struct {
-	Workers int     `json:"workers"`
-	RouteMs float64 `json:"route_ms"`
 }
 
 // benchFile is the top-level shape of BENCH_pipeline.json.
 type benchFile struct {
 	GeneratedAt string `json:"generated_at"`
 	// CPUs and GoMaxProcs describe the hardware the numbers were
-	// taken on; parallel_speedup is meaningless without them.
+	// taken on.
 	CPUs       int              `json:"cpus"`
 	GoMaxProcs int              `json:"gomaxprocs"`
 	Results    []workloadResult `json:"results"`
@@ -117,43 +93,14 @@ func main() {
 	}
 }
 
-// parseSweep expands a -route-workers spec into a
-// deduplicated list of worker counts; "N" means GOMAXPROCS. flagName
-// is only used for error messages.
-func parseSweep(flagName, spec string) ([]int, error) {
-	var out []int
-	seen := map[int]bool{}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n := runtime.GOMAXPROCS(0)
-		if part != "N" && part != "n" {
-			v, err := strconv.Atoi(part)
-			if err != nil || v < 1 {
-				return nil, fmt.Errorf("bad %s entry %q", flagName, part)
-			}
-			n = v
-		}
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	return out, nil
-}
-
 func run() error {
 	out := flag.String("out", "", "output file (- for stdout; default BENCH_pipeline.json, or BENCH_service.json with -service)")
 	workloads := flag.String("workloads", "fig61,datapath,life", "comma-separated built-in workloads")
 	warmRuns := flag.Int("warm-runs", 5, "cache-hit repeats per workload (best is reported)")
-	sweepSpec := flag.String("route-workers", "1,2,4,N",
-		"comma-separated route-worker counts for the sweep (N = GOMAXPROCS; empty disables)")
 	serviceMode := flag.Bool("service", false,
 		"benchmark the service tier instead (store cold/warm tails, restart survival, singleflight stampede, 3-replica fleet)")
 	gate := flag.String("gate", "",
-		"committed bench file to gate against: fail when a workload's fresh cold route_ms exceeds the committed route_budget_ms, or when parallel_speedup drops below 1.0 on a 4+ CPU host")
+		"committed bench file to gate against: fail when a workload's fresh best route_ms exceeds the committed route_budget_ms")
 	flag.Parse()
 
 	if *serviceMode {
@@ -181,18 +128,11 @@ func run() error {
 		}
 	}
 
-	sweep, err := parseSweep("-route-workers", *sweepSpec)
-	if err != nil {
-		return err
-	}
-
 	srv := service.New(service.Config{Workers: 1, CacheEntries: 64})
 	defer srv.Close()
-	// The sweep server has no cache: route_workers is deliberately
-	// excluded from the cache key (parallel output is byte-identical),
-	// so sweep points after the first would otherwise be cache hits.
-	sweepSrv := service.New(service.Config{Workers: 1, CacheEntries: 0})
-	defer sweepSrv.Close()
+	// The repeat server has no cache, so every repeat routes again.
+	uncached := service.New(service.Config{Workers: 1, CacheEntries: 0})
+	defer uncached.Close()
 	ctx := context.Background()
 
 	file := benchFile{
@@ -242,40 +182,24 @@ func run() error {
 			res.Speedup = res.ColdMs / res.WarmMs
 		}
 
-		// Route-workers sweep: same request, cache off, each worker
-		// count best-of-two. Only the route stage is compared — parse,
-		// place and render are identical work at every point.
-		var seqMs, bestParMs float64
-		for _, workers := range sweep {
-			sreq := req
-			sreq.Options.RouteWorkers = workers
-			var best float64
-			for rep := 0; rep < 2; rep++ {
-				r, err := sweepSrv.GenerateV2(ctx, &sreq)
-				if err != nil {
-					return fmt.Errorf("workload %s (sweep workers=%d): %w", w, workers, err)
-				}
-				ms := float64(r.Report.Timings.Route) / float64(time.Millisecond)
-				if rep == 0 || ms < best {
-					best = ms
-				}
+		// Two cache-off repeats of the same request: a single cold
+		// route time is too noisy to budget or gate on alone.
+		for rep := 0; rep < 2; rep++ {
+			r, err := uncached.GenerateV2(ctx, &req)
+			if err != nil {
+				return fmt.Errorf("workload %s (repeat %d): %w", w, rep, err)
 			}
-			res.RouteSweep = append(res.RouteSweep, routeSweepPoint{Workers: workers, RouteMs: best})
-			if workers <= 1 {
-				seqMs = best
-			} else if bestParMs == 0 || best < bestParMs {
-				bestParMs = best
+			ms := float64(r.Report.Timings.Route) / float64(time.Millisecond)
+			if rep == 0 || ms < res.RepeatRouteMs {
+				res.RepeatRouteMs = ms
 			}
-		}
-		if seqMs > 0 && bestParMs > 0 {
-			res.ParallelSpeedup = seqMs / bestParMs
 		}
 
 		res.RouteBudgetMs = routeBudget(minRouteMs(res))
 
 		file.Results = append(file.Results, res)
-		fmt.Fprintf(os.Stderr, "benchpipe: %-10s cold %8.3fms  warm %8.3fms  (%.0fx)  par-route %.2fx\n",
-			w, res.ColdMs, res.WarmMs, res.Speedup, res.ParallelSpeedup)
+		fmt.Fprintf(os.Stderr, "benchpipe: %-10s cold %8.3fms  warm %8.3fms  (%.0fx)  best route %.3fms\n",
+			w, res.ColdMs, res.WarmMs, res.Speedup, minRouteMs(res))
 	}
 
 	b, err := json.MarshalIndent(file, "", "  ")
@@ -309,17 +233,15 @@ const gateMinRouteMs = 10
 // time: 20% headroom over the committed number.
 func routeBudget(routeMs float64) float64 { return routeMs * 1.2 }
 
-// minRouteMs is a workload's best observed sequential route time: the
-// cold stage or any workers<=1 sweep point, whichever is lower. Both
-// budget and gate use this minimum — a single cold measurement swings
-// ±30% on a busy single-core runner, and gating noise against noise
-// would make the 20% band meaningless.
+// minRouteMs is a workload's best observed route time: the cold stage
+// or the best cache-off repeat, whichever is lower. Both budget and
+// gate use this minimum — a single cold measurement swings ±30% on a
+// busy single-core runner, and gating noise against noise would make
+// the 20% band meaningless.
 func minRouteMs(r workloadResult) float64 {
 	ms := durMs(r.ColdStages.Route)
-	for _, p := range r.RouteSweep {
-		if p.Workers <= 1 && p.RouteMs > 0 && p.RouteMs < ms {
-			ms = p.RouteMs
-		}
+	if r.RepeatRouteMs > 0 && r.RepeatRouteMs < ms {
+		ms = r.RepeatRouteMs
 	}
 	return ms
 }
@@ -327,15 +249,11 @@ func minRouteMs(r workloadResult) float64 {
 func durMs(d time.Duration) float64 { return float64(d.Microseconds()) / 1000.0 }
 
 // gateAgainst compares the fresh results with the committed bench
-// record. Two checks per workload present in both files:
-//
-//   - the fresh cold route_ms must not exceed the committed budget
-//     (route_budget_ms, or 1.2x the committed route_ms for records
-//     that predate the budget field) — skipped for noise-dominated
-//     workloads under gateMinRouteMs;
-//   - parallel_speedup must stay >= 1.0, checked only on hosts with
-//     4+ CPUs (on smaller hosts the sweep measures scheduling
-//     overhead, not parallelism — see the cpus field).
+// record: for every workload present in both files, the fresh best
+// route time (minRouteMs) must not exceed the committed budget
+// (route_budget_ms, or 1.2x the committed best for records that
+// predate the budget field). Noise-dominated workloads under
+// gateMinRouteMs are exempt.
 func gateAgainst(committed *benchFile, fresh []workloadResult) error {
 	byName := map[string]workloadResult{}
 	for _, r := range fresh {
@@ -348,27 +266,23 @@ func gateAgainst(committed *benchFile, fresh []workloadResult) error {
 			continue
 		}
 		cms := minRouteMs(c)
-		if cms >= gateMinRouteMs {
-			budget := c.RouteBudgetMs
-			if budget == 0 {
-				budget = routeBudget(cms)
-			}
-			if got := minRouteMs(r); got > budget {
-				failures = append(failures, fmt.Sprintf(
-					"%s: best route %.3fms exceeds committed budget %.3fms (committed best %.3fms)",
-					c.Workload, got, budget, cms))
-			}
+		if cms < gateMinRouteMs {
+			continue
 		}
-		if runtime.NumCPU() >= 4 && r.ParallelSpeedup > 0 && r.ParallelSpeedup < 1.0 {
+		budget := c.RouteBudgetMs
+		if budget == 0 {
+			budget = routeBudget(cms)
+		}
+		if got := minRouteMs(r); got > budget {
 			failures = append(failures, fmt.Sprintf(
-				"%s: parallel_speedup %.2f < 1.0 on a %d-CPU host",
-				c.Workload, r.ParallelSpeedup, runtime.NumCPU()))
+				"%s: best route %.3fms exceeds committed budget %.3fms (committed best %.3fms)",
+				c.Workload, got, budget, cms))
 		}
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("gate against committed bench failed:\n  %s",
 			strings.Join(failures, "\n  "))
 	}
-	fmt.Fprintln(os.Stderr, "benchpipe: gate passed (route budgets held, parallel speedup ok)")
+	fmt.Fprintln(os.Stderr, "benchpipe: gate passed (route budgets held)")
 	return nil
 }

@@ -46,8 +46,6 @@ func run() error {
 	routeOrder := flag.String("route-order", "shortest",
 		"net routing order: shortest (default, §7 extension) or design (the paper's order)")
 	ripup := flag.Bool("ripup", false, "rip-up-and-reroute pass for failed nets (extension)")
-	routeWorkers := flag.Int("route-workers", 0,
-		"speculative routing workers (0/1 = sequential; results are byte-identical)")
 	trace := flag.Bool("trace", false, "print the routing span tree to stderr")
 	out := flag.String("o", "", "output file (default stdout)")
 	name := flag.String("name", "", "design name (default: graphic file's tname)")
@@ -105,7 +103,7 @@ func run() error {
 	ropts.FixedBorder[geom.Right] = *r
 	ropts.FixedBorder[geom.Left] = *l
 
-	opts := gen.Options{Route: ropts, Placement: pr, RouteWorkers: *routeWorkers}
+	opts := gen.Options{Route: ropts, Placement: pr}
 	if *trace {
 		opts.Observer = obs.NewObserver(nil, "route")
 	}

@@ -54,8 +54,6 @@ func run() error {
 	routeOrder := flag.String("route-order", "shortest",
 		"net routing order: shortest (default, §7 extension) or design (the paper's order)")
 	ripup := flag.Bool("ripup", false, "rip-up-and-reroute pass for failed nets (extension)")
-	routeWorkers := flag.Int("route-workers", 0,
-		"speculative routing workers (0/1 = sequential; results are byte-identical)")
 	verify := flag.Bool("verify-routing", false,
 		"machine-check the routed geometry against the netlist before rendering")
 	trace := flag.Bool("trace", false, "print the per-stage span tree to stderr")
@@ -120,7 +118,6 @@ func run() error {
 			OrderShortestFirst: shortest,
 			RipUp:              *ripup,
 		},
-		RouteWorkers: *routeWorkers,
 	}
 	switch *placer {
 	case "paper":

@@ -80,8 +80,8 @@
 //	DELETE /v2/jobs/{id}        cancel (the deadline context unwinds
 //	                   the routing wavefronts)
 //	GET  /v2/jobs/{id}/events   progress + result as SSE: placement
-//	                   geometry, then routed nets strictly in canonical
-//	                   commit order, then the full report
+//	                   geometry, then routed nets strictly in routing
+//	                   order, then the full report
 //	GET  /v1/healthz   liveness (+ "degraded" advisory status)
 //	GET  /v1/stats     counters, cache hit/miss, stage latency
 //	                   histograms, recovered panics
@@ -152,8 +152,6 @@ func run() error {
 
 	degrade := flag.String("degrade-mode", "none",
 		"default routing-failure policy: none, strict, escalate, best-effort")
-	routeWorkers := flag.Int("route-workers", 0,
-		"default speculative routing workers per request (0/1 = sequential; results are byte-identical)")
 	verifyRouting := flag.Bool("verify-routing", false,
 		"machine-check every response's wire geometry against its netlist before serving")
 	batchRetries := flag.Int("batch-retries", 2,
@@ -232,7 +230,6 @@ func run() error {
 		MaxNets:           *maxNets,
 		MaxPlaneArea:      *maxArea,
 		DegradeMode:       dm,
-		RouteWorkers:      *routeWorkers,
 		VerifyRouting:     *verifyRouting,
 		BatchRetries:      *batchRetries,
 		RetryBase:         *retryBase,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"netart/internal/netlist"
@@ -13,33 +14,70 @@ import (
 )
 
 // This file is the rendered-output half of the determinism battery:
-// the full pipeline — placement, parallel routing, schematic build,
-// ASCII and SVG rendering — must produce byte-identical artwork for
-// every worker count. The router-internal half (segments, plane cells,
-// stats) lives in internal/route/parallel_test.go; this half proves no
-// divergence hides in the layers above the router.
+// the full pipeline — placement, routing, schematic build, ASCII and
+// SVG rendering — run by several goroutines at once must produce
+// byte-identical artwork on every run. The router-internal half
+// (segments, plane cells, stats) lives in internal/route/parallel_test.go;
+// this half proves no divergence, and under -race no shared write,
+// hides in the layers above the router.
 
-// renderPair runs the pipeline and returns the ASCII and SVG bytes.
-func renderPair(t *testing.T, build func() *netlist.Design, opts Options) (string, string) {
-	t.Helper()
+// render runs the pipeline and returns the ASCII and SVG bytes.
+func render(build func() *netlist.Design, opts Options) (string, string, error) {
 	rep, err := Run(context.Background(), build(), opts)
 	if err != nil {
-		t.Fatal(err)
+		return "", "", err
 	}
 	// Every battery run also passes the geometry-level equivalence
 	// check: the wires must realize the netlist, not just match the
-	// sequential wires.
+	// other runs' wires.
 	if err := route.VerifyEquivalence(rep.Routing); err != nil {
-		t.Fatal(err)
+		return "", "", err
 	}
 	var svg strings.Builder
 	if err := rep.Diagram.WriteSVG(&svg); err != nil {
-		t.Fatal(err)
+		return "", "", err
 	}
-	return rep.Diagram.ASCII(), svg.String()
+	return rep.Diagram.ASCII(), svg.String(), nil
 }
 
-var renderBatteryWorkers = []int{2, 4, 8}
+// renderBatteryRuns is how many pipeline runs render a case at once.
+const renderBatteryRuns = 4
+
+// assertConcurrentRendersMatch renders the design once, then from
+// renderBatteryRuns goroutines at once, and requires every concurrent
+// rendering to be byte-identical to the first.
+func assertConcurrentRendersMatch(t *testing.T, build func() *netlist.Design, opts Options) {
+	t.Helper()
+	wantASCII, wantSVG, err := render(build, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type rendering struct {
+		ascii, svg string
+		err        error
+	}
+	runs := make([]rendering, renderBatteryRuns)
+	var wg sync.WaitGroup
+	for g := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := &runs[g]
+			r.ascii, r.svg, r.err = render(build, opts)
+		}()
+	}
+	wg.Wait()
+	for g, r := range runs {
+		switch {
+		case r.err != nil:
+			t.Errorf("run %d: %v", g, r.err)
+		case r.ascii != wantASCII:
+			t.Errorf("run %d: ASCII rendering diverges", g)
+		case r.svg != wantSVG:
+			t.Errorf("run %d: SVG rendering diverges", g)
+		}
+	}
+}
 
 func TestRenderedOutputDeterministicWorkloads(t *testing.T) {
 	cases := []struct {
@@ -62,74 +100,24 @@ func TestRenderedOutputDeterministicWorkloads(t *testing.T) {
 			if tc.slow && testing.Short() {
 				t.Skip("life battery skipped in -short mode")
 			}
-			seqASCII, seqSVG := renderPair(t, tc.build, tc.opts)
-			for _, w := range renderBatteryWorkers {
-				po := tc.opts
-				po.RouteWorkers = w
-				parASCII, parSVG := renderPair(t, tc.build, po)
-				if parASCII != seqASCII {
-					t.Errorf("workers=%d: ASCII rendering diverges from sequential", w)
-				}
-				if parSVG != seqSVG {
-					t.Errorf("workers=%d: SVG rendering diverges from sequential", w)
-				}
-			}
+			assertConcurrentRendersMatch(t, tc.build, tc.opts)
 		})
 	}
 }
 
-// TestRenderedOutputDeterministicSeeded sweeps seeded random designs
-// through the full pipeline at every battery worker count.
+// TestRenderedOutputDeterministicSeeded runs the battery over seeded
+// random designs.
 func TestRenderedOutputDeterministicSeeded(t *testing.T) {
 	seeds := int64(20)
 	if testing.Short() {
 		seeds = 5
 	}
 	for seed := int64(0); seed < seeds; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			build := func() *netlist.Design { return workload.Random(12, seed) }
 			opts := Options{Place: place.Options{PartSize: 4, BoxSize: 2},
 				Route: route.Options{Claimpoints: true}}
-			seqASCII, seqSVG := renderPair(t, build, opts)
-			for _, w := range renderBatteryWorkers {
-				po := opts
-				po.RouteWorkers = w
-				parASCII, parSVG := renderPair(t, build, po)
-				if parASCII != seqASCII || parSVG != seqSVG {
-					t.Errorf("workers=%d: rendered output diverges from sequential", w)
-				}
-			}
+			assertConcurrentRendersMatch(t, build, opts)
 		})
-	}
-}
-
-// TestRouteWorkersReachesLadder asserts the RouteWorkers option really
-// reaches the router (speculation stats appear) and that the
-// degradation ladder inherits it on every rung.
-func TestRouteWorkersReachesLadder(t *testing.T) {
-	opts := DefaultOptions()
-	opts.RouteWorkers = 4
-	rep, err := Run(context.Background(), workload.Datapath16(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss := rep.Routing.Speculation
-	if ss == nil {
-		t.Fatal("RouteWorkers=4 produced no speculation stats")
-	}
-	if ss.Workers < 2 {
-		t.Fatalf("speculation ran with %d workers", ss.Workers)
-	}
-	// Explicit Route.Workers wins over the pipeline-level knob.
-	opts2 := DefaultOptions()
-	opts2.RouteWorkers = 4
-	opts2.Route.Workers = 1
-	rep2, err := Run(context.Background(), workload.Datapath16(), opts2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Routing.Speculation != nil {
-		t.Fatal("Route.Workers=1 override did not force sequential routing")
 	}
 }

@@ -126,14 +126,6 @@ type Options struct {
 	// DegradeMode. The ladder never runs when routing succeeds, so the
 	// fast path is untouched.
 	Degrade DegradeMode
-	// RouteWorkers sets the parallel routing worker count (route.
-	// Options.Workers) for every routing attempt, including the
-	// degradation-ladder rungs: 0 or 1 routes sequentially, higher
-	// values run the deterministic speculation scheduler, whose output
-	// is byte-identical to the sequential router's. When Route.Workers
-	// is already non-zero it wins, so callers building route.Options by
-	// hand keep full control.
-	RouteWorkers int
 	// Inject, when non-nil, is propagated to the place.box and
 	// route.wavefront fault sites for deterministic chaos testing.
 	Inject *resilience.Injector
@@ -145,7 +137,7 @@ type Options struct {
 	Observer *obs.Observer
 	// Progress, when non-nil, receives streaming progress events:
 	// placement geometry once it is final, then per routing attempt the
-	// attempt name followed by every net in canonical commit order (the
+	// attempt name followed by every net in routing order (the
 	// async job API streams these over SSE). Nil costs nothing.
 	Progress ProgressFunc
 	// StopAfterPlace runs only the placement phase (the PABLO half):

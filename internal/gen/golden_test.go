@@ -129,13 +129,9 @@ func goldenDiff(want, got []byte) string {
 }
 
 // TestGoldenCorpus pins the rendered artwork of every built-in
-// workload. The corpus is also the parallel-routing witness: each case
-// re-renders with RouteWorkers=4 and must still match the pinned
-// bytes, so the goldens gate both "nothing drifted" and "parallel
-// equals sequential".
+// workload.
 func TestGoldenCorpus(t *testing.T) {
 	for _, tc := range goldenCases() {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.slow && testing.Short() {
 				t.Skip("life corpus skipped in -short mode")
@@ -143,15 +139,6 @@ func TestGoldenCorpus(t *testing.T) {
 			ascii, svg := goldenRender(t, tc)
 			compareGolden(t, tc.name+".ascii", ascii)
 			compareGolden(t, tc.name+".svg", svg)
-			if *updateGolden {
-				return
-			}
-			par := tc
-			par.opts.RouteWorkers = 4
-			parASCII, parSVG := goldenRender(t, par)
-			if !bytes.Equal(parASCII, ascii) || !bytes.Equal(parSVG, svg) {
-				t.Errorf("parallel (route=4) rendering diverges from the golden corpus")
-			}
 		})
 	}
 }

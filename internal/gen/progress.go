@@ -7,8 +7,7 @@ import (
 
 // Progress event kinds, in the order a run emits them: one Placed
 // event once placement geometry is final, then per routing attempt an
-// Attempt event followed by one Net event per net in canonical commit
-// order. The degradation ladder repeats the Attempt/Net sequence per
+// Attempt event followed by one Net event per net in routing order. The degradation ladder repeats the Attempt/Net sequence per
 // rung it escalates through.
 const (
 	// ProgressPlaced reports the finished placement; Event.Placement
@@ -18,8 +17,8 @@ const (
 	// Event.Attempt names its configuration (the same names Report.
 	// Attempts lists).
 	ProgressAttempt = "attempt"
-	// ProgressNet reports one net committed by the attempt's main
-	// routing pass, strictly in canonical commit order (see
+	// ProgressNet reports one net routed by the attempt's main routing
+	// pass, strictly in routing order (see
 	// route.Options.OnCommit for the exact contract, including how the
 	// retry/rip-up passes may still improve failed nets afterwards).
 	ProgressNet = "net"
@@ -36,17 +35,17 @@ type ProgressEvent struct {
 	// Attempt names the routing attempt; set on ProgressAttempt and
 	// ProgressNet events.
 	Attempt string
-	// Index is the net's position in the canonical commit order and
+	// Index is the net's position in the routing order and
 	// Total the number of nets in the pass (ProgressNet events).
 	Index, Total int
-	// Net is the committed outcome for one net (ProgressNet events).
+	// Net is the outcome for one net (ProgressNet events).
 	// Like Placement it aliases live pipeline state: read-only.
 	Net *route.RoutedNet
 }
 
 // ProgressFunc receives pipeline progress events. Callbacks run
-// synchronously on the pipeline goroutine — the commit loop of the
-// router included — so they must be fast and must not block on slow
+// synchronously on the pipeline goroutine — the net loop of the router
+// included — so they must be fast and must not block on slow
 // consumers (buffer or drop instead).
 type ProgressFunc func(ProgressEvent)
 

@@ -282,19 +282,14 @@ func ladderRungs(base route.Options) []ladderRung {
 // destroy the base result it was trying to improve. Every attempt
 // appears as a "route.attempt" span under the route span.
 func routeWithLadder(ctx context.Context, pr *place.Result, opts Options, o *obs.Observer) (*route.Result, []string, error) {
-	if opts.RouteWorkers > 1 && opts.Route.Workers == 0 {
-		// Every rung inherits the worker count: the ladder copies the
-		// base options, so setting it here parallelizes all attempts.
-		opts.Route.Workers = opts.RouteWorkers
-	}
 	run := func(name string, ro route.Options) (*route.Result, error) {
 		asp := o.StartSpan("route.attempt")
 		asp.SetAttrString("config", name)
 		if opts.Progress != nil {
 			opts.Progress.emit(ProgressEvent{Kind: ProgressAttempt, Attempt: name})
-			// Bridge the router's ordered-commit hook onto the progress
-			// stream: one event per net, in canonical commit order,
-			// tagged with the attempt it belongs to.
+			// Bridge the router's per-net hook onto the progress stream:
+			// one event per net, in routing order, tagged with the
+			// attempt it belongs to.
 			ro.OnCommit = func(idx, total int, rn *route.RoutedNet) {
 				opts.Progress.emit(ProgressEvent{
 					Kind: ProgressNet, Attempt: name, Index: idx, Total: total, Net: rn,
@@ -312,7 +307,6 @@ func routeWithLadder(ctx context.Context, pr *place.Result, opts Options, o *obs
 			return nil, err
 		}
 		asp.SetAttr("unrouted", int64(rr.UnroutedCount()))
-		observeSpeculation(o, asp, rr.Speculation)
 		asp.End()
 		return rr, nil
 	}
@@ -347,30 +341,6 @@ func routeWithLadder(ctx context.Context, pr *place.Result, opts Options, o *obs
 		}
 	}
 	return best, attempts, nil
-}
-
-// observeSpeculation records a parallel route attempt's speculation
-// outcome on the attempt span and in the observer's metric sink
-// (netart_route_speculation_total and the per-worker busy histogram).
-// A nil SpecStats (sequential route) records nothing.
-func observeSpeculation(o *obs.Observer, asp *obs.Span, ss *route.SpecStats) {
-	if ss == nil {
-		return
-	}
-	asp.SetAttr("workers", int64(ss.Workers))
-	asp.SetAttr("spec_hits", int64(ss.Hits))
-	asp.SetAttr("spec_misses", int64(ss.Misses))
-	asp.SetAttr("spec_requeues", int64(ss.Requeues))
-	m := o.Metrics()
-	if m == nil {
-		return
-	}
-	m.SpecHits.Add(uint64(ss.Hits))
-	m.SpecMisses.Add(uint64(ss.Misses))
-	m.SpecRequeues.Add(uint64(ss.Requeues))
-	for _, busy := range ss.WorkerBusy {
-		m.RouteWorkerBusy.Observe(time.Duration(busy * float64(time.Second)))
-	}
 }
 
 // describeRoute names the base routing configuration for the attempts

@@ -60,14 +60,6 @@ func NewObserver(m *Pipeline, rootName string) *Observer {
 	return o
 }
 
-// Metrics returns the observer's metric sink (nil-safe).
-func (o *Observer) Metrics() *Pipeline {
-	if o == nil {
-		return nil
-	}
-	return o.m
-}
-
 // TraceID returns the request's trace identifier, or "" when tracing
 // is disabled.
 func (o *Observer) TraceID() string {

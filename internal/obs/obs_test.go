@@ -107,9 +107,6 @@ func TestNilObserverIsSafe(t *testing.T) {
 	if o.TraceID() != "" {
 		t.Fatal("nil observer returned a trace id")
 	}
-	if o.Metrics() != nil {
-		t.Fatal("nil observer returned metrics")
-	}
 	// Metric-less, trace-less observer behaves like nil.
 	o2 := NewObserver(nil, "")
 	if sp := o2.StartSpan("x"); sp != nil {

@@ -43,16 +43,6 @@ type Pipeline struct {
 	// Traces counts snapshots taken (one per traced request).
 	Traces *Counter
 
-	// Speculation counters of the parallel router: per examined
-	// speculation exactly one of hit/miss increments, and each miss is
-	// followed by a requeue (the net re-routed in commit order).
-	SpecHits     *Counter
-	SpecMisses   *Counter
-	SpecRequeues *Counter
-	// RouteWorkerBusy records each routing worker's busy wall time, one
-	// observation per worker per parallel route attempt.
-	RouteWorkerBusy *Histogram
-
 	// Store tier event counters (netart_store_events_total{tier,event}):
 	// the per-tier view of the pluggable result store — "mem"/"disk"
 	// crossed with hit/miss/put/evict/promote/error. The legacy
@@ -188,16 +178,6 @@ func NewPipeline() *Pipeline {
 		"Requests currently inside the pipeline.", "")
 	p.Traces = reg.Counter("netart_traces_total",
 		"Span-tree snapshots taken (one per traced request).", "")
-
-	specOutcome := func(o string) *Counter {
-		return reg.Counter("netart_route_speculation_total",
-			"Parallel-router speculation outcomes.", `outcome="`+o+`"`)
-	}
-	p.SpecHits = specOutcome("hit")
-	p.SpecMisses = specOutcome("miss")
-	p.SpecRequeues = specOutcome("requeue")
-	p.RouteWorkerBusy = reg.Histogram("netart_route_worker_busy_seconds",
-		"Busy wall time per routing worker per parallel route attempt.", "")
 
 	p.JobsSubmitted = reg.Counter("netart_jobs_submitted_total",
 		"Async jobs accepted by POST /v2/jobs.", "")

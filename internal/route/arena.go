@@ -50,9 +50,8 @@ func manhattanToBox(p geom.Point, r geom.Rect) int {
 }
 
 // searchArena is the reusable scratch of the line-expansion engine. One
-// arena serves one router (workers of the parallel scheduler each own
-// one, created lazily for their private plane); a search acquires it,
-// which clears the previous search's marks.
+// arena serves one router, created lazily on its first search; a search
+// acquires it, which clears the previous search's marks.
 type searchArena struct {
 	lineGeom
 

@@ -9,31 +9,18 @@ import (
 )
 
 // FuzzSearchJournal is the property test of the full-plane search
-// engine running over the speculation journal with a reused arena —
-// the exact configuration the parallel scheduler puts the hot path in.
-// For an arbitrary obstacle field and nets of a point-to-point
-// connection plus one branch onto the laid tree it requires:
+// engine over a journal of searches: nets of a point-to-point
+// connection plus one branch onto the laid tree, routed in sequence
+// through one router and its reused arena. For an arbitrary obstacle
+// field it requires:
 //
-//  1. flat-reference parity: the search on a journaled plane finds
-//     exactly the segments (and search statistics) it finds on a flat,
-//     journal-free clone, across several nets laid in sequence through
-//     one shared arena;
-//  2. reference-loop parity: on the flat plane, the unpruned
-//     referenceRun finds the same segments, plane state and search
-//     counters as the final-wave sweep;
-//  3. read accounting: every cell on a found path was swept by the
-//     engine, so it must appear in specReadBits' bitmap and fall
-//     inside the read bounding box (the validation pre-filter's
-//     snapshot of the read set);
-//  4. exact rollback after reuse: rollbackSpec restores the
-//     pre-speculation plane, and a second journal epoch over the same
-//     arena (cleared on acquire, buffers reused) reproduces the first
-//     epoch byte for byte before rolling back just as cleanly.
-
-// boxContains reports whether p lies inside the inclusive rect r.
-func boxContains(r geom.Rect, p geom.Point) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
+//  1. reference-loop parity: the unpruned referenceRun finds the same
+//     segments, plane state and search counters as the final-wave
+//     sweep;
+//  2. arena reuse: a second pass of the same journal through the same
+//     router and arena (cleared on acquire, buffers reused), on a plane
+//     built again from the fuzz bytes, reproduces the first pass byte
+//     for byte, search statistics included.
 
 // fuzzNet routes one net through router.searchFrom, mirroring routeNet
 // without the netlist scaffolding: a point-to-point connection from
@@ -63,8 +50,8 @@ func fuzzNet(rt *router, id int32, pts [3]geom.Point) []string {
 	return append(out, fmt.Sprintf("%v lay=%v", branch, rt.plane.LayWire(id, branch)))
 }
 
-// fuzzEpoch routes every net in order on the router's plane.
-func fuzzEpoch(rt *router, nets [][3]geom.Point) []string {
+// fuzzPass routes every net in order on the router's plane.
+func fuzzPass(rt *router, nets [][3]geom.Point) []string {
 	var out []string
 	for i, pts := range nets {
 		out = append(out, fuzzNet(rt, int32(i)+1, pts)...)
@@ -102,92 +89,52 @@ func FuzzSearchJournal(f *testing.F) {
 			}
 			return false
 		}
-		base := NewPlane(bounds)
+		var obstacles []geom.Point
 		for n := 0; n < 40 && len(data) >= 2; n++ {
 			if p := pt(); !isTerm(p) {
-				base.BlockPoint(p)
+				obstacles = append(obstacles, p)
 			}
 		}
-
+		newPlane := func() *Plane {
+			pl := NewPlane(bounds)
+			for _, p := range obstacles {
+				pl.BlockPoint(p)
+			}
+			return pl
+		}
 		newRT := func(pl *Plane) *router {
 			return &router{plane: pl, cancel: newCancelCheck(context.Background()), stats: &SearchStats{}}
 		}
 
-		// Flat reference: no journal.
-		ref := newRT(base.Clone())
-		refOut := fuzzEpoch(ref, nets)
+		rt := newRT(newPlane())
+		out := fuzzPass(rt, nets)
 
-		// Journaled run, epoch one.
-		work := base.Clone()
-		work.enableSpec()
-		work.beginSpec()
-		wrt := newRT(work)
-		workOut := fuzzEpoch(wrt, nets)
-
-		// (1) Flat-reference parity: outcomes, plane state, statistics.
-		if fmt.Sprint(refOut) != fmt.Sprint(workOut) {
-			t.Fatalf("journaled outcomes diverge:\n  flat %v\n  spec %v", refOut, workOut)
-		}
-		if !work.Equal(ref.plane) {
-			t.Fatal("journaled plane diverges from flat reference")
-		}
-		if *ref.stats != *wrt.stats {
-			t.Fatalf("search stats diverge:\n  flat %+v\n  spec %+v", *ref.stats, *wrt.stats)
-		}
-
-		// (2) The unpruned reference loop agrees with the final-wave sweep.
-		full := newRT(base.Clone())
+		// (1) The unpruned reference loop agrees with the final-wave sweep.
+		full := newRT(newPlane())
 		var fullOut []string
-		withReference(func() { fullOut = fuzzEpoch(full, nets) })
-		if fmt.Sprint(fullOut) != fmt.Sprint(refOut) {
-			t.Fatalf("final-wave sweep diverges from the reference loop:\n  reference %v\n  final     %v", fullOut, refOut)
+		withReference(func() { fullOut = fuzzPass(full, nets) })
+		if fmt.Sprint(fullOut) != fmt.Sprint(out) {
+			t.Fatalf("final-wave sweep diverges from the reference loop:\n  reference %v\n  final     %v", fullOut, out)
 		}
-		if !full.plane.Equal(ref.plane) {
+		if !full.plane.Equal(rt.plane) {
 			t.Fatal("final-wave sweep plane diverges from the reference loop")
 		}
-		if r, g := *full.stats, *ref.stats; r.Searches != g.Searches || r.Waves != g.Waves || r.MaxBends != g.MaxBends {
+		if r, g := *full.stats, *rt.stats; r.Searches != g.Searches || r.Waves != g.Waves || r.MaxBends != g.MaxBends {
 			t.Fatalf("search counters diverge:\n  reference %+v\n  final     %+v", r, g)
 		}
 
-		// (3) Every swept path cell is in the read bitmap and box.
-		bits, rbox := work.specReadBits()
-		for id := int32(1); id <= int32(len(nets)); id++ {
-			for i, v := range work.hNet {
-				if v != id && work.vNet[i] != id {
-					continue
-				}
-				p := geom.Pt(work.Bounds.Min.X+i%work.w, work.Bounds.Min.Y+i/work.w)
-				if pts := nets[id-1]; p == pts[0] || p == pts[2] {
-					// Search start cells are entered before the sweep
-					// begins and may legitimately go unread.
-					continue
-				}
-				if bits[i>>6]&(1<<(uint(i)&63)) == 0 {
-					t.Fatalf("net %d wire cell %v missing from specReadBits", id, p)
-				}
-				if g := geom.Pt(i%work.w, i/work.w); !boxContains(rbox, g) {
-					t.Fatalf("net %d wire cell %v outside read box %v", id, p, rbox)
-				}
-			}
+		// (2) A second pass through the reused arena reproduces the first.
+		first, firstStats := rt.plane, *rt.stats
+		rt.plane, rt.stats = newPlane(), &SearchStats{}
+		again := fuzzPass(rt, nets)
+		if fmt.Sprint(again) != fmt.Sprint(out) {
+			t.Fatalf("second pass diverges:\n  first  %v\n  second %v", out, again)
 		}
-
-		// (4) Rollback restores the base, and a second epoch over the
-		// reused journal and arena reproduces the first.
-		work.rollbackSpec()
-		if !work.Equal(base) {
-			t.Fatal("rollback did not restore the pre-speculation state")
+		if !rt.plane.Equal(first) {
+			t.Fatal("second pass plane diverges from the first")
 		}
-		work.beginSpec()
-		againOut := fuzzEpoch(wrt, nets)
-		if fmt.Sprint(againOut) != fmt.Sprint(workOut) {
-			t.Fatalf("second epoch diverges:\n  first  %v\n  second %v", workOut, againOut)
-		}
-		if !work.Equal(ref.plane) {
-			t.Fatal("second epoch plane diverges from flat reference")
-		}
-		work.rollbackSpec()
-		if !work.Equal(base) {
-			t.Fatal("second rollback did not restore the base state")
+		if *rt.stats != firstStats {
+			t.Fatalf("second pass stats diverge:\n  first  %+v\n  second %+v", firstStats, *rt.stats)
 		}
 	})
 }

@@ -83,14 +83,13 @@ func refHalts(s *lineSearch, idx int, along uint8) bool {
 
 // refSweep is the per-cell escape loop lineSearch.sweep replaced: each
 // escape steps one cell at a time, testing target, covered and stop
-// bits per cell. It records solutions and cells on s like sweep does,
-// returns the escape profile, and the plane indices it read.
-func refSweep(s *lineSearch, a *active, lo, hi, cut int) (advance, crossAdv, crossOff []int, reads map[int]bool) {
+// bits per cell. It records solutions and cells on s like sweep does
+// and returns the escape profile.
+func refSweep(s *lineSearch, a *active, lo, hi, cut int) (advance, crossAdv, crossOff []int) {
 	pl, ar := s.pl, s.ar
 	step := a.step()
 	didx, along, acrossBit, across := refAxis(pl, a)
 	dbit := dirBit(a.dir)
-	reads = map[int]bool{}
 	for i := lo; i <= hi; i++ {
 		crossOff = append(crossOff, len(crossAdv))
 		c := a.cross
@@ -103,7 +102,6 @@ func refSweep(s *lineSearch, a *active, lo, hi, cut int) (advance, crossAdv, cro
 				break
 			}
 			nidx := idx + didx
-			reads[nidx] = true
 			if ar.isTarget(nidx) {
 				segs := pathBack(a, i, nj)
 				s.sols = append(s.sols, solution{a: a, i: i, j: nj, cross: c, length: totalLen(segs), segs: segs})
@@ -124,13 +122,12 @@ func refSweep(s *lineSearch, a *active, lo, hi, cut int) (advance, crossAdv, cro
 		s.stats.addCells(adv)
 	}
 	crossOff = append(crossOff, len(crossAdv))
-	return advance, crossAdv, crossOff, reads
+	return advance, crossAdv, crossOff
 }
 
 // refReaches is the per-cell form of the solution-wave probe.
-func refReaches(s *lineSearch, wave []*active) (bool, map[int]bool) {
+func refReaches(s *lineSearch, wave []*active) bool {
 	pl, ar := s.pl, s.ar
-	reads := map[int]bool{}
 	for _, a := range wave {
 		lo, hi, cut := s.boxLines(a)
 		didx, along, _, _ := refAxis(pl, a)
@@ -140,9 +137,8 @@ func refReaches(s *lineSearch, wave []*active) (bool, map[int]bool) {
 			for j := a.index + a.step(); j != cut; j += a.step() {
 				idx += didx
 				s.stats.addCells(1)
-				reads[idx] = true
 				if ar.isTarget(idx) {
-					return true, reads
+					return true
 				}
 				if ar.coveredBits(idx)&dbit != 0 || refHalts(s, idx, along) {
 					break
@@ -150,7 +146,7 @@ func refReaches(s *lineSearch, wave []*active) (bool, map[int]bool) {
 			}
 		}
 	}
-	return false, reads
+	return false
 }
 
 // checkLineBoards recomputes every line board from the plane's
@@ -279,15 +275,10 @@ func newSweepCase(rng *rand.Rand, w, h int) *sweepCase {
 	return c
 }
 
-// build returns a fresh plane and search in the case's state; a
-// journaled plane records reads.
-func (c *sweepCase) build(journal bool) *lineSearch {
+// build returns a fresh plane and search in the case's state.
+func (c *sweepCase) build() *lineSearch {
 	pl := NewPlane(c.bounds)
 	c.writes(pl)
-	if journal {
-		pl.enableSpec()
-		pl.beginSpec()
-	}
 	s := newLineSearch(pl, 1, false, nil)
 	s.stats = &SearchStats{}
 	for _, cv := range c.covered {
@@ -320,28 +311,12 @@ func solKey(sol solution) string {
 	return fmt.Sprintf("i=%d j=%d cross=%d len=%d segs=%v", sol.i, sol.j, sol.cross, sol.length, sol.segs)
 }
 
-// checkReads fails unless every read of the reference is in the
-// journal's read set.
-func checkReads(t *testing.T, tag string, pl *Plane, ref map[int]bool) {
-	t.Helper()
-	got := map[int32]bool{}
-	for _, i := range pl.sp.reads {
-		got[i] = true
-	}
-	for i := range ref {
-		if !got[int32(i)] {
-			t.Fatalf("%s: reference read of plane index %d missing from the journal", tag, i)
-		}
-	}
-}
-
-// diffSweep runs one active through the word-level sweep (on a
-// journaled plane) and the per-cell reference, with the cut at the
-// plane border or at the target box's far edge, and requires identical
-// outcomes.
+// diffSweep runs one active through the word-level sweep and the
+// per-cell reference, with the cut at the plane border or at the target
+// box's far edge, and requires identical outcomes.
 func diffSweep(t *testing.T, c *sweepCase, a *active, boxCut bool) {
 	t.Helper()
-	got, ref := c.build(true), c.build(false)
+	got, ref := c.build(), c.build()
 	lo, hi, cut := a.iv.Lo, a.iv.Hi, got.borderCut(a)
 	tag := fmt.Sprintf("%v dir=%v index=%d iv=%v border", c.bounds, a.dir, a.index, a.iv)
 	if boxCut {
@@ -357,7 +332,7 @@ func diffSweep(t *testing.T, c *sweepCase, a *active, boxCut bool) {
 	n := hi - lo + 1
 	gotCrossOff := got.ar.crossOff[:n+1]
 	gotCrossAdv := got.ar.crossAdv[:gotCrossOff[n]]
-	wantAdv, wantCrossAdv, wantCrossOff, reads := refSweep(ref, a, lo, hi, cut)
+	wantAdv, wantCrossAdv, wantCrossOff := refSweep(ref, a, lo, hi, cut)
 	if !slices.Equal(adv, wantAdv) {
 		t.Fatalf("%s: advance %v, want %v", tag, adv, wantAdv)
 	}
@@ -380,32 +355,29 @@ func diffSweep(t *testing.T, c *sweepCase, a *active, boxCut bool) {
 	if got.stats.Cells != ref.stats.Cells {
 		t.Fatalf("%s: %d cells, want %d", tag, got.stats.Cells, ref.stats.Cells)
 	}
-	checkReads(t, tag, got.pl, reads)
 }
 
-// diffProbe runs a wave through the word-level probe (on a journaled
-// plane) and the per-cell reference and requires the same verdict,
-// cells and a journal read set containing the reference's reads.
+// diffProbe runs a wave through the word-level probe and the per-cell
+// reference and requires the same verdict and cells.
 func diffProbe(t *testing.T, c *sweepCase, wave []*active) {
 	t.Helper()
-	got, ref := c.build(true), c.build(false)
+	got, ref := c.build(), c.build()
 	tag := fmt.Sprintf("%v probe of %d actives", c.bounds, len(wave))
 	verdict := got.reaches(wave)
-	want, reads := refReaches(ref, wave)
+	want := refReaches(ref, wave)
 	if verdict != want {
 		t.Fatalf("%s: reaches %v, want %v", tag, verdict, want)
 	}
 	if got.stats.Cells != ref.stats.Cells {
 		t.Fatalf("%s: %d cells, want %d", tag, got.stats.Cells, ref.stats.Cells)
 	}
-	checkReads(t, tag, got.pl, reads)
 }
 
 // FuzzLineSweep is the differential test of the word-level escape
 // scans: on random planes of every size class, the sweep (both cut
 // kinds, all four directions) and the solution-wave probe must match
 // the per-cell loop in advance profile, crossings, covered marks,
-// solutions and cells, and journal every cell the per-cell loop reads.
+// solutions and cells.
 func FuzzLineSweep(f *testing.F) {
 	for k := range sweepSizes {
 		f.Add(uint8(k), uint8(len(sweepSizes)-1-k), int64(k))
@@ -416,7 +388,7 @@ func FuzzLineSweep(f *testing.F) {
 		h := sweepSizes[int(hs)%len(sweepSizes)]
 		rng := rand.New(rand.NewSource(seed))
 		c := newSweepCase(rng, w, h)
-		assertLineBoards(t, "random plane", c.build(false).pl)
+		assertLineBoards(t, "random plane", c.build().pl)
 		for trial := 0; trial < 4; trial++ {
 			var wave []*active
 			for _, d := range geom.Dirs {

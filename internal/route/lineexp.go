@@ -142,10 +142,9 @@ func newLineSearch(pl *Plane, net int32, swap bool, ar *searchArena) *lineSearch
 // setTargets marks the target set in the arena: the given points plus
 // every point of the tree segments. The tree segments are the wires the
 // net has laid, so the mark set equals the cells where the plane reports
-// the net's own wires — and since no other net can ever write those
-// values, reading marks instead of the plane keeps speculative read-set
-// validation sound. It also records the marks' bounding box, which
-// confines the solution wave's probe and sweep (run).
+// the net's own wires, and the search reads marks instead of the plane.
+// It also records the marks' bounding box, which confines the solution
+// wave's probe and sweep (run).
 func (s *lineSearch) setTargets(pts []geom.Point, tree []Segment) {
 	for _, p := range pts {
 		if s.pl.InBounds(p) {
@@ -262,9 +261,7 @@ func (s *lineSearch) boxLines(a *active) (lo, hi, cut int) {
 // the wave contacts a target, scanning only the box lines (boxLines)
 // against the covered marks of earlier waves. It writes no mark, so it
 // ignores the marks the wave itself would make — which cannot decide
-// whether the wave has a contact (DESIGN.md §5i). Every cell it decides
-// on is noted on a journaled plane: the probe's verdict is part of the
-// search outcome that speculative validation must cover.
+// whether the wave has a contact (DESIGN.md §5i).
 func (s *lineSearch) reaches(wave []*active) bool {
 	cells := 0
 	defer func() { s.stats.addCells(cells) }()
@@ -285,7 +282,6 @@ func (s *lineSearch) reaches(wave []*active) bool {
 			if e == cutBit {
 				cells--
 			}
-			s.noteRun(v, l, b0, e, cutBit, step)
 			if e != cutBit && s.ar.isTarget(v.index(l, e)) {
 				return true
 			}
@@ -396,19 +392,6 @@ func setRange(line []uint64, lo, hi int) {
 	line[wh] |= mh
 }
 
-// noteRun notes, on a journaled plane, every cell the escape along line
-// l from b0 decided on: through the stop e, or up to the cut.
-func (s *lineSearch) noteRun(v *lineView, l, b0, e, cutBit, step int) {
-	if sp := s.pl.sp; sp != nil && sp.active {
-		if e == cutBit {
-			e -= step
-		}
-		for q := b0 + step; q != e+step; q += step {
-			sp.note(int32(v.index(l, q)))
-		}
-	}
-}
-
 // best picks the winning solution of the current wave: minimum
 // crossings then minimum length, or the reverse under -s. Ties resolve
 // to the earliest found, which is deterministic.
@@ -493,7 +476,6 @@ func (s *lineSearch) sweep(a *active, lo, hi, cut int) (advance []int, ok bool) 
 		i := lo + k
 		l := i - v.lineMin
 		e := v.stop(l, b0, cutBit, step)
-		s.noteRun(v, l, b0, e, cutBit, step)
 
 		// The run is the bits strictly between b0 and e.
 		off := l * v.words

@@ -109,11 +109,6 @@ type Plane struct {
 	// which it passes with a crossing unless the wire is its own net's.
 	rowEvent, rowAcross []uint64
 	colEvent, colAcross []uint64
-
-	// sp is the copy-on-write speculation journal (spec.go). Nil on
-	// ordinary planes; attached by enableSpec on the private per-worker
-	// snapshots of the parallel router.
-	sp *planeSpec
 }
 
 // lineGeom is the layout of the line bitboards: one bit per plane
@@ -254,9 +249,7 @@ func (pl *Plane) HNet(p geom.Point) int32 {
 	if !pl.InBounds(p) {
 		return 0
 	}
-	i := pl.idx(p)
-	pl.noteRead(i)
-	return pl.hNet[i]
+	return pl.hNet[pl.idx(p)]
 }
 
 // VNet returns the net whose wire runs vertically through p.
@@ -264,9 +257,7 @@ func (pl *Plane) VNet(p geom.Point) int32 {
 	if !pl.InBounds(p) {
 		return 0
 	}
-	i := pl.idx(p)
-	pl.noteRead(i)
-	return pl.vNet[i]
+	return pl.vNet[pl.idx(p)]
 }
 
 // Bend reports whether a routed net has a corner or junction at p.
@@ -274,9 +265,7 @@ func (pl *Plane) Bend(p geom.Point) bool {
 	if !pl.InBounds(p) {
 		return false
 	}
-	i := pl.idx(p)
-	pl.noteRead(i)
-	return pl.bend[i]
+	return pl.bend[pl.idx(p)]
 }
 
 // Claimpoint returns the net holding a claim at p (0 if none).
@@ -284,9 +273,7 @@ func (pl *Plane) Claimpoint(p geom.Point) int32 {
 	if !pl.InBounds(p) {
 		return 0
 	}
-	i := pl.idx(p)
-	pl.noteRead(i)
-	return pl.claim[i]
+	return pl.claim[pl.idx(p)]
 }
 
 // Claim reserves p for the given net (§5.7). It is a no-op if the point
@@ -305,32 +292,12 @@ func (pl *Plane) Claim(p geom.Point, net int32) {
 
 // ReleaseClaims removes every claimpoint of the given net ("when the
 // routing of A and B starts, both their claimpoints are removed").
-//
-// The claimOf index lookup is deliberately not read-tracked: a
-// speculation only ever releases its own net's claims, and no commit
-// ever *adds* a claim during routing (claims are placed once before
-// routeAll and only removed after), so the set of points this releases
-// cannot be changed by an intervening commit.
 func (pl *Plane) ReleaseClaims(net int32) {
 	for _, i := range pl.claimOf[net] {
 		if pl.claim[i] == net {
 			pl.setClaim(int(i), 0)
 		}
 	}
-}
-
-// releaseClaimsList is ReleaseClaims returning the plane indices it
-// released, so a speculation can record the exact claim writes for
-// ordered replay against the master plane.
-func (pl *Plane) releaseClaimsList(net int32) []int32 {
-	var out []int32
-	for _, i := range pl.claimOf[net] {
-		if pl.claim[i] == net {
-			pl.setClaim(int(i), 0)
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // ReleaseAllClaims removes every claimpoint, done before the final
@@ -371,7 +338,6 @@ func (pl *Plane) LayWire(net int32, segs []Segment) error {
 				return fmt.Errorf("route: wire point %v outside plane", p)
 			}
 			i := pl.idx(p)
-			pl.noteRead(i)
 			if pl.blocked[i] && pl.termNet[i] != net {
 				return fmt.Errorf("route: wire of net %d crosses obstacle at %v", net, p)
 			}
@@ -399,17 +365,8 @@ func (pl *Plane) LayWire(net int32, segs []Segment) error {
 			}
 		}
 	}
-	pl.commitWire(net, segs)
-	return nil
-}
 
-// commitWire applies a validated wire's occupancy and bend marks. It is
-// the write half of LayWire, split out so the parallel router can
-// replay a speculation's recorded wires against the master plane
-// without re-validating (the ordered commit guarantees the plane is in
-// the state the recording ran against). Callers must pass segments with
-// degenerates already filtered.
-func (pl *Plane) commitWire(net int32, segs []Segment) {
+	// Second pass: occupancy.
 	for _, s := range segs {
 		for _, p := range s.Points() {
 			i := pl.idx(p)
@@ -440,4 +397,50 @@ func (pl *Plane) commitWire(net int32, segs []Segment) {
 			pl.setBend(i)
 		}
 	}
+	return nil
+}
+
+// Mutable-field setters. Every routing-time write goes through one of
+// these, so the line boards are refreshed with the array they derive
+// from.
+
+func (pl *Plane) setH(i int, v int32) {
+	pl.hNet[i] = v
+	pl.refresh(i)
+}
+
+func (pl *Plane) setV(i int, v int32) {
+	pl.vNet[i] = v
+	pl.refresh(i)
+}
+
+func (pl *Plane) setBend(i int) {
+	pl.bend[i] = true
+	pl.refresh(i)
+}
+
+func (pl *Plane) setClaim(i int, v int32) {
+	if v != 0 {
+		pl.claimOf[v] = append(pl.claimOf[v], int32(i))
+	}
+	pl.claim[i] = v
+	pl.refresh(i)
+}
+
+// Equal reports whether two planes carry byte-identical cell state
+// (bounds and all six per-point arrays; the line boards are derived
+// from them). Used by the determinism battery and the overlay fuzz
+// target.
+func (pl *Plane) Equal(o *Plane) bool {
+	if pl.Bounds != o.Bounds || pl.w != o.w || pl.h != o.h {
+		return false
+	}
+	for i := range pl.blocked {
+		if pl.blocked[i] != o.blocked[i] || pl.termNet[i] != o.termNet[i] ||
+			pl.hNet[i] != o.hNet[i] || pl.vNet[i] != o.vNet[i] ||
+			pl.bend[i] != o.bend[i] || pl.claim[i] != o.claim[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -63,14 +63,6 @@ type Options struct {
 	// *resilience.LimitError before any allocation, so one pathological
 	// placement cannot exhaust the process.
 	MaxPlaneArea int
-	// Workers sets the concurrency of the speculative parallel routing
-	// scheduler (parallel.go): up to Workers nets are routed at the same
-	// time against private plane snapshots and committed strictly in the
-	// canonical net order, so the result is byte-identical to the
-	// sequential router. 0 or 1 routes sequentially. Only the main
-	// routeAll pass parallelizes; the retry, rip-up and prerouted phases
-	// are sequential in either mode.
-	Workers int
 	// Inject, when non-nil, arms the resilience.SiteRouteWavefront
 	// fault site: it is fired once per wavefront search, and an
 	// injected error makes that search fail soft (the terminal is
@@ -78,17 +70,15 @@ type Options struct {
 	// model) while an injected panic propagates to the caller's
 	// Recover boundary.
 	Inject *resilience.Injector
-	// OnCommit, when non-nil, is invoked once per net at the router's
-	// ordered-commit point of the main routing pass, strictly in the
-	// canonical routing order (routeOrder): the sequential loop and the
-	// parallel speculation committer fire the identical sequence, so
-	// observers see the same progression regardless of Workers. idx is
-	// the net's position in the canonical order, total the number of
-	// nets in the pass, and rn the outcome committed at that point.
-	// The retry and rip-up passes may later improve a net reported
-	// failed here; the returned Result holds the authoritative final
-	// geometry. The callback runs on the routing goroutine: it must not
-	// block for long and must not mutate routing state.
+	// OnCommit, when non-nil, is invoked once per net of the main
+	// routing pass, right after the net loop has laid its wires, in the
+	// routing order (routeOrder). idx is the net's position in that
+	// order, total the number of nets in the pass, and rn the net's
+	// outcome at that point. The retry and rip-up passes may later
+	// improve a net reported failed here; the returned Result holds the
+	// authoritative final geometry. The callback runs on the routing
+	// goroutine: it must not block for long and must not mutate routing
+	// state.
 	OnCommit func(idx, total int, rn *RoutedNet)
 }
 
@@ -168,12 +158,7 @@ type Result struct {
 	// Stats aggregates the line-expansion work counters over the run
 	// (zero when a baseline algorithm handled the searches).
 	Stats SearchStats
-	// Speculation carries the parallel scheduler's bookkeeping when the
-	// route ran with Options.Workers > 1; nil on sequential runs. It is
-	// diagnostic metadata: every other Result field is byte-identical
-	// between sequential and parallel runs of the same input.
-	Speculation *SpecStats
-	byNet       map[*netlist.Net]*RoutedNet
+	byNet map[*netlist.Net]*RoutedNet
 }
 
 // Net returns the routing outcome for a specific net.
@@ -191,10 +176,9 @@ func (r *Result) UnroutedCount() int {
 	return n
 }
 
-// router carries the working state of one Route invocation. The
-// parallel scheduler creates one shallow copy per worker that shares
-// the read-only fields (pl, opts, netID) but has a private plane
-// snapshot, stats sink, op recorder and cancellation checker.
+// router carries the working state of one Route invocation. Each
+// route owns its plane, arena and result and only reads the placement
+// and options, so concurrent routes of one placement are independent.
 type router struct {
 	pl     *place.Result
 	plane  *Plane
@@ -202,21 +186,12 @@ type router struct {
 	netID  map[*netlist.Net]int32
 	result *Result
 	cancel *cancelCheck
-	ctx    context.Context // the RouteCtx context; workers derive their own cancel checkers from it
 
-	// stats is where the search engines accumulate their counters. It
-	// points at result.Stats on the main router; speculation workers
-	// point it at a per-net local so only committed work is counted (in
-	// commit order, keeping the totals identical to a sequential run).
+	// stats is where the search engines accumulate their counters; it
+	// points at result.Stats.
 	stats *SearchStats
-	// rec, when non-nil, records every plane mutation routeNet makes
-	// (claim releases, laid wires) so an ordered commit can replay them
-	// against the master plane.
-	rec *opRecord
 	// ar is the lazily created search arena (arena.go) reused across
-	// every line-expansion search this router runs. Never shared between
-	// routers: each parallel worker creates its own against its private
-	// plane snapshot.
+	// every line-expansion search this router runs.
 	ar *searchArena
 }
 
@@ -245,7 +220,6 @@ func RouteCtx(ctx context.Context, pr *place.Result, opts Options) (*Result, err
 		opts:   opts,
 		netID:  map[*netlist.Net]int32{},
 		cancel: newCancelCheck(ctx),
-		ctx:    ctx,
 	}
 	if err := rt.buildPlane(); err != nil {
 		return nil, err
@@ -380,15 +354,11 @@ func (rt *router) placeClaims() {
 	}
 }
 
-// routeAll routes every net (ROUTING). The default order is design
-// order, as in the paper; OrderShortestFirst is the §7 extension.
-// With Options.Workers > 1 the speculation scheduler (parallel.go)
-// routes the same canonical order concurrently with ordered commit.
+// routeAll routes every net (ROUTING), one at a time: each search sees
+// every earlier net's wires as obstacles (§5.6.2). The default order is
+// design order, as in the paper; OrderShortestFirst is the §7
+// extension.
 func (rt *router) routeAll() {
-	if rt.opts.Workers > 1 {
-		rt.routeAllParallel()
-		return
-	}
 	order := rt.routeOrder()
 	byNet := map[*netlist.Net]*RoutedNet{}
 	for i, n := range order {
@@ -403,10 +373,9 @@ func (rt *router) routeAll() {
 	rt.publish(byNet)
 }
 
-// routeOrder returns the canonical routing order: design order, or
-// increasing estimated length with OrderShortestFirst. This order is
-// the commit order of the parallel scheduler, which is why parallel
-// results are identical to sequential ones.
+// routeOrder returns the routing order: design order, or increasing
+// estimated length with OrderShortestFirst. The sort is stable, so nets
+// of equal estimate keep design order and the order is deterministic.
 func (rt *router) routeOrder() []*netlist.Net {
 	order := append([]*netlist.Net(nil), rt.pl.Design.Nets...)
 	if rt.opts.OrderShortestFirst {
@@ -431,35 +400,6 @@ func (rt *router) publish(byNet map[*netlist.Net]*RoutedNet) {
 		rt.result.Nets = append(rt.result.Nets, rn)
 		rt.result.byNet[n] = rn
 	}
-}
-
-// layWire lays a routed wire on the router's plane and, when recording,
-// journals the (degenerate-filtered) segment group for ordered replay.
-func (rt *router) layWire(id int32, segs []Segment) error {
-	if rt.rec == nil {
-		return rt.plane.LayWire(id, segs)
-	}
-	kept := make([]Segment, 0, len(segs))
-	for _, s := range segs {
-		if s.A != s.B {
-			kept = append(kept, s)
-		}
-	}
-	if err := rt.plane.LayWire(id, kept); err != nil {
-		return err
-	}
-	rt.rec.wires = append(rt.rec.wires, kept)
-	return nil
-}
-
-// releaseClaims removes the net's claimpoints, recording the released
-// plane indices when an op recorder is attached.
-func (rt *router) releaseClaims(id int32) {
-	if rt.rec == nil {
-		rt.plane.ReleaseClaims(id)
-		return
-	}
-	rt.rec.claims = append(rt.rec.claims, rt.plane.releaseClaimsList(id)...)
 }
 
 // halfPerimeter estimates a net's routed length as the half-perimeter
@@ -505,7 +445,7 @@ func (rt *router) escapeDirs(t *netlist.Terminal) []geom.Dir {
 func (rt *router) routeNet(n *netlist.Net) *RoutedNet {
 	rn := &RoutedNet{Net: n}
 	id := rt.netID[n]
-	rt.releaseClaims(id)
+	rt.plane.ReleaseClaims(id)
 
 	if pre, ok := rt.opts.Prerouted[n]; ok {
 		rn.Segments = append(rn.Segments, pre...)
@@ -542,7 +482,7 @@ func (rt *router) routeNet(n *netlist.Net) *RoutedNet {
 			rn.Failed = append(rn.Failed, t)
 			continue
 		}
-		if err := rt.layWire(id, segs); err != nil {
+		if err := rt.plane.LayWire(id, segs); err != nil {
 			// Should not happen: the search only uses legal cells.
 			rn.Failed = append(rn.Failed, t)
 			continue
@@ -610,7 +550,7 @@ func (rt *router) initiate(terms []*netlist.Terminal, id int32) ([2]*netlist.Ter
 		if !ok {
 			continue
 		}
-		if err := rt.layWire(id, segs); err != nil {
+		if err := rt.plane.LayWire(id, segs); err != nil {
 			continue
 		}
 		return [2]*netlist.Terminal{p.a, p.b}, segs, true
@@ -799,7 +739,7 @@ func (rt *router) completePending(rn *RoutedNet) {
 			rn.Failed = append(rn.Failed, t)
 			continue
 		}
-		if err := rt.layWire(id, segs); err != nil {
+		if err := rt.plane.LayWire(id, segs); err != nil {
 			rn.Failed = append(rn.Failed, t)
 			continue
 		}

@@ -17,9 +17,8 @@ import (
 // These tests route every built-in workload and seeded random designs
 // twice — once with the production wave loop, once with referenceRun,
 // which expands every active of every wave in full — across both net
-// orderings, claimpoints on and off, and the -s objective swap, plus a
-// parallel run, and require identical wire geometry, failures and
-// search counters.
+// orderings, claimpoints on and off, and the -s objective swap, and
+// require identical wire geometry, failures and search counters.
 
 // referenceRun is the unpruned wave loop the final-wave sweep is checked
 // against: every active of every wave is expanded in full, the solution
@@ -62,33 +61,23 @@ func withReference(f func()) {
 }
 
 // assertMatchesReference routes the design with the reference loop and
-// with the production loop (sequentially, and with three workers when
-// parallel is set) and requires identical artwork and search counters,
-// then machine-checks the result against the netlist and the routed
-// plane's line boards against its arrays. Actives and Cells are exempt:
-// they count the work the final-wave sweep saves.
-func assertMatchesReference(t *testing.T, tag string, build func() *netlist.Design, po place.Options, ro Options, parallel bool) {
+// with the production loop and requires identical artwork and search
+// counters, then machine-checks the result against the netlist and the
+// routed plane's line boards against its arrays. Actives and Cells are
+// exempt: they count the work the final-wave sweep saves.
+func assertMatchesReference(t *testing.T, tag string, build func() *netlist.Design, po place.Options, ro Options) {
 	t.Helper()
 	var ref *Result
 	withReference(func() { ref = routeFresh(t, build, po, ro) })
-	workers := []int{1}
-	if parallel {
-		workers = append(workers, 3)
+	got := routeFresh(t, build, po, ro)
+	assertSameArtwork(t, tag, ref, got)
+	assertLineBoards(t, tag, got.Plane)
+	r, g := ref.Stats, got.Stats
+	if r.Searches != g.Searches || r.Waves != g.Waves || r.MaxBends != g.MaxBends || r.RipUps != g.RipUps {
+		t.Errorf("%s: search counters diverge:\n  reference %+v\n  final     %+v", tag, r, g)
 	}
-	for _, w := range workers {
-		o := ro
-		o.Workers = w
-		suffix := fmt.Sprintf(" workers=%d", w)
-		got := routeFresh(t, build, po, o)
-		assertSameArtwork(t, tag+suffix, ref, got)
-		assertLineBoards(t, tag+suffix, got.Plane)
-		r, g := ref.Stats, got.Stats
-		if r.Searches != g.Searches || r.Waves != g.Waves || r.MaxBends != g.MaxBends || r.RipUps != g.RipUps {
-			t.Errorf("%s%s: search counters diverge:\n  reference %+v\n  final     %+v", tag, suffix, r, g)
-		}
-		if err := VerifyEquivalence(got); err != nil {
-			t.Errorf("%s%s: result fails equivalence: %v", tag, suffix, err)
-		}
+	if err := VerifyEquivalence(got); err != nil {
+		t.Errorf("%s: result fails equivalence: %v", tag, err)
 	}
 }
 
@@ -131,9 +120,9 @@ func TestWindowedMatchesFullWorkloads(t *testing.T) {
 				if tc.slow && testing.Short() {
 					t.Skip("life battery skipped in -short mode")
 				}
-				for i, v := range sweepVariants {
+				for _, v := range sweepVariants {
 					ro := Options{Claimpoints: v.claims, SwapObjective: v.swap, OrderShortestFirst: ord.shortest}
-					assertMatchesReference(t, tc.name+"/"+ord.name+"/"+v.name, tc.build, tc.po, ro, i == 0)
+					assertMatchesReference(t, tc.name+"/"+ord.name+"/"+v.name, tc.build, tc.po, ro)
 				}
 			})
 		}
@@ -149,10 +138,10 @@ func TestWindowedMatchesFullSeeded(t *testing.T) {
 			build := func() *netlist.Design { return workload.Random(12+int(seed%4)*8, seed) }
 			po := place.Options{PartSize: 4, BoxSize: 2}
 			for _, ord := range batteryOrders {
-				for i, v := range sweepVariants {
+				for _, v := range sweepVariants {
 					ro := Options{Claimpoints: v.claims, SwapObjective: v.swap, OrderShortestFirst: ord.shortest}
 					assertMatchesReference(t, fmt.Sprintf("seed%d/%s/%s", seed, ord.name, v.name),
-						build, po, ro, i == 0 && ord.shortest)
+						build, po, ro)
 				}
 			}
 		})

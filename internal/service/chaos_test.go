@@ -74,9 +74,6 @@ func TestChaosMixedTraffic(t *testing.T) {
 		// is being shot at (degraded partials included — failed nets are
 		// exempt from connectivity but never from isolation).
 		VerifyRouting: true,
-		// And half the traffic routes in parallel, so injected faults
-		// also fly through the speculation scheduler.
-		RouteWorkers: 2,
 	})
 
 	workloads := []string{"fig61", "chain", "fig61", "datapath"}

@@ -92,6 +92,18 @@ func TestErrorEnvelope(t *testing.T) {
 			`{"workload":"fig61","options":{"route_window":"off"}}`, 400},
 		{"retired place_workers", http.MethodPost, "/v2/generate",
 			`{"workload":"fig61","options":{"place_workers":2}}`, 400},
+		{"retired route_workers", http.MethodPost, "/v2/generate",
+			`{"workload":"fig61","options":{"route_workers":2}}`, 400},
+		{"negative mod_spacing", http.MethodPost, "/v2/generate",
+			`{"workload":"datapath","options":{"mod_spacing":-2}}`, 400},
+		{"negative box_spacing", http.MethodPost, "/v2/generate",
+			`{"workload":"fig61","options":{"box_spacing":-1}}`, 400},
+		{"negative part_spacing", http.MethodPost, "/v2/generate",
+			`{"workload":"life","options":{"part_spacing":-3}}`, 400},
+		{"negative mod_spacing job", http.MethodPost, "/v2/jobs",
+			`{"workload":"datapath","options":{"mod_spacing":-2}}`, 400},
+		{"negative part_spacing job", http.MethodPost, "/v2/jobs",
+			`{"workload":"fig61","options":{"part_spacing":-1}}`, 400},
 		{"unknown workload", http.MethodPost, "/v1/generate", `{"workload":"warp"}`, 400},
 		{"bad placer", http.MethodPost, "/v2/jobs",
 			`{"workload":"fig61","options":{"placer":"magic"}}`, 400},

@@ -23,7 +23,7 @@ import (
 // the final artwork is byte-identical to what /v2/generate would have
 // served. Progress streams over GET /v2/jobs/{id}/events as SSE:
 // placement geometry first, then one event per routed net strictly in
-// the router's canonical commit order, then the full report.
+// the router's routing order, then the full report.
 
 // SubmitResponse is the 202 body of POST /v2/jobs.
 type SubmitResponse struct {
@@ -83,9 +83,9 @@ type jobAttempt struct {
 	Name string `json:"name"`
 }
 
-// jobNet is the Data of one "net" SSE event: the net's outcome at the
-// router's ordered-commit point, emitted strictly in canonical commit
-// order within its attempt.
+// jobNet is the Data of one "net" SSE event: the net's outcome when the
+// router's net loop routed it (route.Options.OnCommit), emitted
+// strictly in routing order within its attempt.
 type jobNet struct {
 	Net      string   `json:"net"`
 	Index    int      `json:"index"`

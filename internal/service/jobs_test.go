@@ -17,7 +17,7 @@ import (
 
 // This file is the async-API acceptance battery: job artwork must be
 // byte-identical to the synchronous /v2/generate result, SSE net
-// events must arrive strictly in the router's canonical commit order,
+// events must arrive strictly in the router's routing order,
 // and every lifecycle edge (cancel while queued, cancel mid-route,
 // TTL eviction, SSE disconnect, restart against a disk store, fleet
 // proxying, chaos) must resolve to a clean state.
@@ -182,9 +182,8 @@ func TestJobMatchesSyncAcrossCorpus(t *testing.T) {
 }
 
 // TestJobNetOrderCanonical pins the stream order to the pipeline's own
-// canonical commit order: the reference is gen.Run with a Progress
-// hook, and both the sequential and the speculative parallel router
-// must stream the same net sequence for the same request.
+// routing order: the reference is gen.Run with a Progress hook, and the
+// job must stream the same net sequence for the same request.
 func TestJobNetOrderCanonical(t *testing.T) {
 	opts, err := (GenOptions{}).resolve()
 	if err != nil {
@@ -205,16 +204,13 @@ func TestJobNetOrderCanonical(t *testing.T) {
 
 	s := New(Config{Workers: 2})
 	defer s.Close()
-	for _, workers := range []int{1, 3} {
-		req := &Request{Workload: "datapath", Options: GenOptions{RouteWorkers: workers}}
-		_, events := submitAndDrain(t, s, req)
-		var got []string
-		for _, jn := range netEvents(events) {
-			got = append(got, jn.Net)
-		}
-		if strings.Join(got, ",") != strings.Join(want, ",") {
-			t.Errorf("route_workers=%d: stream order %v, want canonical %v", workers, got, want)
-		}
+	_, events := submitAndDrain(t, s, &Request{Workload: "datapath"})
+	var got []string
+	for _, jn := range netEvents(events) {
+		got = append(got, jn.Net)
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("stream order %v, want %v", got, want)
 	}
 }
 
@@ -633,7 +629,6 @@ func TestChaosJobsSSE(t *testing.T) {
 		Inject:        inj,
 		DegradeMode:   gen.DegradeBestEffort,
 		VerifyRouting: true,
-		RouteWorkers:  2,
 	})
 
 	workloads := []string{"fig61", "chain", "datapath"}

@@ -67,13 +67,6 @@ type Config struct {
 	// requests that do not pick their own (see gen.DegradeMode).
 	DegradeMode gen.DegradeMode
 
-	// RouteWorkers is the server-wide default for the router's
-	// speculative parallelism (route.Options.Workers); requests that
-	// carry their own route_workers override it. 0/1 routes
-	// sequentially. Parallel and sequential routing produce
-	// byte-identical results, so this only trades CPU for latency.
-	RouteWorkers int
-
 	// VerifyRouting re-derives every response's net connectivity from
 	// the routed wire geometry and rejects the response if it does not
 	// match the netlist (route.VerifyEquivalence). A failed check is a
@@ -693,9 +686,6 @@ func (s *Server) processObserved(ctx context.Context, req *Request, o *obs.Obser
 	// the plane-area guard, and the observer all ride on gen.Options.
 	if req.Options.DegradeMode == "" {
 		opts.Degrade = s.cfg.DegradeMode
-	}
-	if req.Options.RouteWorkers == 0 {
-		opts.RouteWorkers = s.cfg.RouteWorkers
 	}
 	opts.Inject = s.cfg.Inject
 	opts.Observer = o

@@ -78,13 +78,6 @@ type GenOptions struct {
 	// none, strict, escalate, or best-effort (see gen.DegradeMode).
 	// Empty inherits the server default.
 	DegradeMode string `json:"degrade_mode,omitempty"`
-
-	// RouteWorkers sets the router's speculative parallelism (see
-	// route.Options.Workers); 0 inherits the server default, 1 forces
-	// sequential routing. The parallel router is byte-identical to the
-	// sequential one, so this knob is an execution hint, not a result
-	// parameter: it deliberately does NOT participate in the cache key.
-	RouteWorkers int `json:"route_workers,omitempty"`
 }
 
 // resolve maps the JSON options onto gen.Options, filling defaults.
@@ -145,10 +138,16 @@ func (o GenOptions) resolve() (gen.Options, error) {
 		return opts, err
 	}
 	opts.Degrade = dm
-	if o.RouteWorkers < 0 {
-		return opts, fmt.Errorf("route_workers must be >= 0, got %d", o.RouteWorkers)
+	// A negative spacing overlaps modules, which can put two nets'
+	// terminals on one point: reject it here rather than fail routing.
+	for _, sp := range []struct {
+		name string
+		v    int
+	}{{"part_spacing", o.PartSpacing}, {"box_spacing", o.BoxSpacing}, {"mod_spacing", o.ModSpacing}} {
+		if sp.v < 0 {
+			return opts, fmt.Errorf("%s must be >= 0, got %d", sp.name, sp.v)
+		}
 	}
-	opts.RouteWorkers = o.RouteWorkers
 	return opts, nil
 }
 
@@ -157,11 +156,7 @@ func (o GenOptions) resolve() (gen.Options, error) {
 // misses the cache. The degradation policy is passed in resolved form
 // because an empty request field inherits the server default — two
 // requests with different effective policies must never share a cache
-// entry. RouteWorkers is deliberately absent: the parallel router's
-// output is byte-identical to the sequential router's for every input
-// (enforced by the determinism batteries in internal/route and
-// internal/gen), so requests differing only in worker count may — and
-// should — share one cache entry.
+// entry.
 func (o GenOptions) canonical(degrade gen.DegradeMode) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "placer=%s part=%d box=%d conn=%d", orDefault(o.Placer, "paper"),
