@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -38,7 +39,11 @@ type stageTimingsJSON struct {
 
 func durMs(d time.Duration) float64 { return float64(d.Microseconds()) / 1000.0 }
 
-func msDur(ms float64) time.Duration { return time.Duration(ms * float64(time.Millisecond)) }
+// msDur rounds to the nearest nanosecond: truncating would turn 1.033 ms
+// into 1,032,999 ns, which re-encodes as 1.032.
+func msDur(ms float64) time.Duration {
+	return time.Duration(math.Round(ms * float64(time.Millisecond)))
+}
 
 // MarshalJSON renders the timings as millisecond floats.
 func (st StageTimings) MarshalJSON() ([]byte, error) {

@@ -163,9 +163,13 @@ func TestRunPanicOutcomeInTrace(t *testing.T) {
 }
 
 // TestStageTimingsJSONRoundTrip pins the wire names shared by /v1 and
-// /v2 (parse_ms, place_ms, route_ms, render_ms).
+// /v2 (parse_ms, place_ms, route_ms, render_ms), and that a timing
+// survives a decode and re-encode: 1.033 and 1.005 ms are not exact
+// binary fractions, and a truncating decode turned them into 1.032 and
+// 1.004 ms.
 func TestStageTimingsJSONRoundTrip(t *testing.T) {
-	st := StageTimings{Parse: 1500 * 1000, Place: 2 * 1000 * 1000} // 1.5ms, 2ms
+	st := StageTimings{Parse: 1500 * 1000, Place: 2 * 1000 * 1000, // 1.5ms, 2ms
+		Route: 1005 * 1000, Render: 1033 * 1000} // 1.005ms, 1.033ms
 	b, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +183,7 @@ func TestStageTimingsJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Parse != st.Parse || back.Place != st.Place {
+	if back != st {
 		t.Fatalf("round trip mismatch: %+v vs %+v", back, st)
 	}
 }

@@ -9,9 +9,9 @@ import "netart/internal/geom"
 // its wavefront state from: the search's target and covered marks as
 // line bitboards, cleared word by word when a search starts; actives
 // bump-allocated from slabs; the reused per-sweep advance/crossing
-// buffers and wavefront slices. Together these drop the router's
-// per-net allocation cost to near zero (the seed allocated an O(plane)
-// covered array per search).
+// buffers, the store of a wave's phase-1 profiles, and wavefront slices.
+// Together these drop the router's per-net allocation cost to near
+// zero (the seed allocated an O(plane) covered array per search).
 //
 // Boxes use inclusive point semantics throughout — both Min and Max are
 // valid points, exactly like Plane.Bounds (and unlike geom.Rect's
@@ -73,6 +73,13 @@ type searchArena struct {
 	crossAdv []int
 	crossOff []int
 
+	// nearAdv, nearOff and nearCross keep, between the two phases of a
+	// wave (lineSearch.run), the profiles phase 1 swept up to the target
+	// box's far edge: one entry per escape of every facing active, in
+	// wave order. Escape g travelled nearAdv[g] and crossed foreign wires
+	// at the advances nearCross[nearOff[g]:nearOff[g+1]].
+	nearAdv, nearOff, nearCross []int32
+
 	// blocks bump-allocates actives in place-stable slabs, reused across
 	// searches (all actives of a search are dead once its path is
 	// reconstructed).
@@ -80,8 +87,18 @@ type searchArena struct {
 	blockI int
 	cellI  int
 
-	// waves ping-pongs the two wavefront slices of run().
-	waves [2][]*active
+	// waves ping-pongs the two wavefront slices of run(); border holds
+	// the zone borders phase 1 builds for the reach probe.
+	waves  [2][]*active
+	border []*active
+}
+
+// nearProfile is the part of an active's escape profile that phase 1
+// swept, up to cut: escape k travelled adv[k] and crossed foreign wires
+// at the advances cross[off[k]:off[k+1]].
+type nearProfile struct {
+	cut             int
+	adv, off, cross []int32
 }
 
 func newSearchArena(g lineGeom) *searchArena {
@@ -146,6 +163,37 @@ func (ar *searchArena) newActive() *active {
 		ar.cellI = 0
 	}
 	return a
+}
+
+// slabMark returns the fill position of the active slab; rewind returns
+// the slab to it, freeing every active allocated since.
+func (ar *searchArena) slabMark() [2]int { return [2]int{ar.blockI, ar.cellI} }
+
+func (ar *searchArena) rewind(m [2]int) { ar.blockI, ar.cellI = m[0], m[1] }
+
+// resetNear empties the near store for a new wave.
+func (ar *searchArena) resetNear() {
+	ar.nearAdv, ar.nearCross = ar.nearAdv[:0], ar.nearCross[:0]
+	ar.nearOff = append(ar.nearOff[:0], 0)
+}
+
+// keepNear appends the profile of the sweep just run, advance and the
+// crossing buffers, to the near store.
+func (ar *searchArena) keepNear(advance []int) {
+	base := int32(len(ar.nearCross))
+	for k, adv := range advance {
+		ar.nearAdv = append(ar.nearAdv, int32(adv))
+		ar.nearOff = append(ar.nearOff, base+int32(ar.crossOff[k+1]))
+	}
+	for _, c := range ar.crossAdv {
+		ar.nearCross = append(ar.nearCross, int32(c))
+	}
+}
+
+// near returns the near profile of the n stored escapes from escape g
+// on, swept up to cut.
+func (ar *searchArena) near(g, n, cut int) nearProfile {
+	return nearProfile{cut, ar.nearAdv[g : g+n], ar.nearOff[g : g+n+1], ar.nearCross}
 }
 
 // advanceBuf returns an uninitialized advance buffer of n cells; a

@@ -145,12 +145,12 @@ func expandFrontWave(pl *Plane, self, other *frontState, sols *[]joint,
 	stats.addWave()
 	for _, a := range self.wave {
 		stats.addActive()
-		advance, ok := ls.sweep(a, a.iv.Lo, a.iv.Hi, ls.borderCut(a))
+		advance, ok := ls.sweep(a, a.iv.Lo, a.iv.Hi, ls.borderCut(a), nil)
 		if !ok {
 			break // abandoned sweep; dualSearch's poll ends the search
 		}
 		self.recordOwners(pl, a, advance)
-		next = ls.newActives(a, advance, ls.ar.crossAdv, ls.ar.crossOff, next)
+		next = ls.newActives(a, advance, ls.ar.crossAdv, ls.ar.crossOff, next, false)
 	}
 	for _, sol := range ls.sols {
 		p := sol.a.pt(sol.i, sol.j)

@@ -86,9 +86,10 @@ func TestDualFrontRouteOption(t *testing.T) {
 func TestDualFrontSearchesLess(t *testing.T) {
 	// On a long empty-plane connection the dual front must sweep fewer
 	// cells than a single front that expands every wave in full, the
-	// loop both fronts run. The production single front ends with the
-	// final-wave reach sweep and sweeps fewer cells than the dual front
-	// here (350 against 413); ROADMAP.md tracks whether dual-front stays.
+	// loop both fronts run. The production single front, with its
+	// final-wave reach sweep and penultimate-wave cut, sweeps fewer
+	// cells than the dual front here (221 against 413); ROADMAP.md
+	// tracks whether dual-front stays.
 	mkPlane := func() (*Plane, geom.Point, geom.Point) {
 		pl := NewPlane(geom.R(0, 0, 120, 120))
 		a, b := geom.Pt(5, 60), geom.Pt(115, 61)

@@ -313,8 +313,12 @@ func solKey(sol solution) string {
 
 // diffSweep runs one active through the word-level sweep and the
 // per-cell reference, with the cut at the plane border or at the target
-// box's far edge, and requires identical outcomes.
-func diffSweep(t *testing.T, c *sweepCase, a *active, boxCut bool) {
+// box's far edge, and requires identical outcomes. With an rng the
+// word-level side runs as run's two phases do: it sweeps to a random
+// cut strictly before that one, then resumes every escape that reached
+// it. The resumed escapes contact later, so the solutions are then
+// compared as a set.
+func diffSweep(t *testing.T, c *sweepCase, a *active, boxCut bool, rng *rand.Rand) {
 	t.Helper()
 	got, ref := c.build(), c.build()
 	lo, hi, cut := a.iv.Lo, a.iv.Hi, got.borderCut(a)
@@ -325,11 +329,28 @@ func diffSweep(t *testing.T, c *sweepCase, a *active, boxCut bool) {
 		}
 		tag = fmt.Sprintf("%v dir=%v index=%d lines=%d..%d cut=%d", c.bounds, a.dir, a.index, lo, hi, cut)
 	}
-	adv, ok := got.sweep(a, lo, hi, cut)
+	n := hi - lo + 1
+	var near *nearProfile
+	if rng != nil {
+		span := (cut-a.index)*a.step() - 1 // cells before the cut
+		if span < 1 {
+			return
+		}
+		split := a.index + a.step()*(1+rng.Intn(span))
+		tag += fmt.Sprintf(" split=%d", split)
+		first, ok := got.sweep(a, lo, hi, split, nil)
+		if !ok {
+			t.Fatalf("%s: sweep cancelled", tag)
+		}
+		got.ar.resetNear()
+		got.ar.keepNear(first)
+		np := got.ar.near(0, n, split)
+		near = &np
+	}
+	adv, ok := got.sweep(a, lo, hi, cut, near)
 	if !ok {
 		t.Fatalf("%s: sweep cancelled", tag)
 	}
-	n := hi - lo + 1
 	gotCrossOff := got.ar.crossOff[:n+1]
 	gotCrossAdv := got.ar.crossAdv[:gotCrossOff[n]]
 	wantAdv, wantCrossAdv, wantCrossOff := refSweep(ref, a, lo, hi, cut)
@@ -344,17 +365,26 @@ func diffSweep(t *testing.T, c *sweepCase, a *active, boxCut bool) {
 			t.Fatalf("%s: covered marks of direction %v diverge", tag, geom.Dir(d))
 		}
 	}
-	if len(got.sols) != len(ref.sols) {
-		t.Fatalf("%s: %d solutions, want %d", tag, len(got.sols), len(ref.sols))
+	gotSols, wantSols := solKeys(got.sols), solKeys(ref.sols)
+	if rng != nil {
+		slices.Sort(gotSols)
+		slices.Sort(wantSols)
 	}
-	for k := range got.sols {
-		if g, w := solKey(got.sols[k]), solKey(ref.sols[k]); g != w {
-			t.Fatalf("%s: solution %d %s, want %s", tag, k, g, w)
-		}
+	if !slices.Equal(gotSols, wantSols) {
+		t.Fatalf("%s: solutions %v, want %v", tag, gotSols, wantSols)
 	}
 	if got.stats.Cells != ref.stats.Cells {
 		t.Fatalf("%s: %d cells, want %d", tag, got.stats.Cells, ref.stats.Cells)
 	}
+}
+
+// solKeys returns the comparable parts of sols, in order.
+func solKeys(sols []solution) []string {
+	keys := make([]string, len(sols))
+	for k, sol := range sols {
+		keys[k] = solKey(sol)
+	}
+	return keys
 }
 
 // diffProbe runs a wave through the word-level probe and the per-cell
@@ -375,9 +405,9 @@ func diffProbe(t *testing.T, c *sweepCase, wave []*active) {
 
 // FuzzLineSweep is the differential test of the word-level escape
 // scans: on random planes of every size class, the sweep (both cut
-// kinds, all four directions) and the solution-wave probe must match
-// the per-cell loop in advance profile, crossings, covered marks,
-// solutions and cells.
+// kinds, all four directions), a sweep split at a cut and resumed, and
+// the solution-wave probe must match the per-cell loop in advance
+// profile, crossings, covered marks, solutions and cells.
 func FuzzLineSweep(f *testing.F) {
 	for k := range sweepSizes {
 		f.Add(uint8(k), uint8(len(sweepSizes)-1-k), int64(k))
@@ -393,8 +423,10 @@ func FuzzLineSweep(f *testing.F) {
 			var wave []*active
 			for _, d := range geom.Dirs {
 				a := randomActive(rng, c.bounds, d)
-				diffSweep(t, c, a, false)
-				diffSweep(t, c, a, true)
+				diffSweep(t, c, a, false, nil)
+				diffSweep(t, c, a, true, nil)
+				diffSweep(t, c, a, false, rng)
+				diffSweep(t, c, a, true, rng)
 				wave = append(wave, a)
 			}
 			rng.Shuffle(len(wave), func(i, j int) { wave[i], wave[j] = wave[j], wave[i] })

@@ -186,12 +186,20 @@ func terminalActives(p geom.Point, dirs []geom.Dir) []*active {
 // the frontier dies out. It returns the winning path as cleaned
 // segments ordered target→source.
 //
-// A read-only probe (reaches) first decides whether wave b touches a
-// target at all. If it does, b is the solution wave: only the escape
-// lines that cross the target box are swept (sweepFinal), in the usual
+// A read-only probe (reaches) decides whether a wave touches a target
+// at all. If it does, that wave is the solution wave: only the escape
+// lines that cross the target box are swept (finish), in the usual
 // active and cell order, and no next-wave actives are built. The
 // solution pool best() ranks is the one a sweep of every active would
 // find (DESIGN.md §5i).
+//
+// Every other wave is swept in two phases split at the target box's far
+// edge (DESIGN.md §5i "Penultimate-wave cut"). Phase 1 (sweepNear)
+// sweeps the actives facing the box up to that edge and builds the next
+// wave's box-line borders, which the probe scans. On a contact those
+// borders are the solution wave and the rest of the wave is never
+// swept. Otherwise phase 2 (sweepFar) finishes the wave and builds the
+// next one exactly as a one-pass sweep does.
 func (s *lineSearch) run(starts []*active) ([]Segment, bool) {
 	if len(starts) == 0 {
 		return nil, false
@@ -205,56 +213,135 @@ func (s *lineSearch) run(starts []*active) ([]Segment, bool) {
 			}
 		}
 	}
-	wave := starts
+	wave, final := starts, s.reaches(starts)
 	for bends := 0; len(wave) > 0; bends++ {
 		if s.cancel.poll() {
 			return nil, false // abandoned search: caller checks ctx.Err()
 		}
 		s.stats.addWave()
-		final := s.reaches(wave)
-		// The two wavefront buffers ping-pong out of the arena: next
-		// never aliases wave (starts is the caller's, and consecutive
-		// waves use alternating buffers). A final wave leaves next empty,
-		// so a sweep cancelled before its first contact ends the search.
-		next := s.ar.waves[bends&1][:0]
-		for _, a := range wave {
-			if final {
-				s.sweepFinal(a)
-				continue
-			}
-			s.stats.addActive()
-			next = s.expand(a, next)
+		if final {
+			return s.finish(wave, bends)
 		}
+		slab := s.ar.slabMark()
+		border, ok := s.sweepNear(wave)
+		if !ok {
+			return nil, false
+		}
+		if s.reaches(border) {
+			wave, final = border, true
+			continue
+		}
+		// The probed borders are dead; phase 2 rebuilds the whole next
+		// wave in their slab slots. The two wavefront buffers ping-pong
+		// out of the arena: next never aliases wave (starts is the
+		// caller's, and consecutive waves use alternating buffers).
+		s.ar.rewind(slab)
+		next := s.sweepFar(wave, s.ar.waves[bends&1][:0])
 		s.ar.waves[bends&1] = next[:0]
-		if len(s.sols) > 0 {
-			if s.stats != nil && bends > s.stats.MaxBends {
-				s.stats.MaxBends = bends
-			}
-			return cleanSegments(s.best().segs), true
-		}
 		wave = next
 	}
 	return nil, false
 }
 
-// boxLines returns the cells lo..hi of a whose escape lines cross the
-// target box ahead of the segment, and the expansion-axis coordinate
-// just past the box's far edge, where those escapes may stop: no target
-// lies beyond it. lo > hi when no escape of a can reach the box.
-func (s *lineSearch) boxLines(a *active) (lo, hi, cut int) {
+// finish sweeps the solution wave (sweepFinal) and returns the best
+// path. A cancelled sweep returns not-found.
+func (s *lineSearch) finish(wave []*active, bends int) ([]Segment, bool) {
+	for _, a := range wave {
+		if !s.sweepFinal(a) {
+			return nil, false
+		}
+	}
+	if len(s.sols) == 0 {
+		return nil, false
+	}
+	if s.stats != nil && bends > s.stats.MaxBends {
+		s.stats.MaxBends = bends
+	}
+	return cleanSegments(s.best().segs), true
+}
+
+// sweepNear is phase 1 of a wave that is not known to be final. It
+// sweeps every active that faces the target box (boxCut), over all of
+// its cells, up to the box's far edge, and keeps the clipped profiles
+// in the arena for phase 2. It returns the zone borders of those
+// profiles that have box lines: the whole of the next wave that the
+// reach probe scans. It reports false when the sweep was cancelled.
+func (s *lineSearch) sweepNear(wave []*active) ([]*active, bool) {
+	ar := s.ar
+	ar.resetNear()
+	border := ar.border[:0]
+	for _, a := range wave {
+		cut, facing := s.boxCut(a)
+		if !facing {
+			continue
+		}
+		s.stats.addActive()
+		advance, ok := s.sweep(a, a.iv.Lo, a.iv.Hi, cut, nil)
+		if !ok {
+			return nil, false
+		}
+		ar.keepNear(advance)
+		border = s.newActives(a, advance, ar.crossAdv, ar.crossOff, border, true)
+	}
+	ar.border = border
+	return border, true
+}
+
+// sweepFar is phase 2: it walks the wave again in canonical order,
+// resumes every phase-1 escape that reached the cut, sweeps every
+// non-facing active in full, and appends the next wave to out. The
+// order matters: an escape past the cut stops at the far-side marks of
+// the actives before it, as in a one-pass sweep (DESIGN.md §5i).
+func (s *lineSearch) sweepFar(wave []*active, out []*active) []*active {
+	g := 0 // the next facing active's first escape in the near store
+	for _, a := range wave {
+		cut, facing := s.boxCut(a)
+		if !facing {
+			s.stats.addActive()
+			out = s.expand(a, out)
+			continue
+		}
+		n := a.iv.Len()
+		near := s.ar.near(g, n, cut)
+		g += n
+		out = s.resume(a, &near, out)
+	}
+	return out
+}
+
+// boxCut returns the expansion-axis coordinate just past the target
+// box's far edge ahead of a, and whether a faces the box: whether any
+// of the box lies ahead of a's line. Facing is a range test: an active
+// whose own escape lines miss the box can still border the box's range
+// along its axis, and the next wave's escape from that border can win
+// (DESIGN.md §5i).
+func (s *lineSearch) boxCut(a *active) (cut int, facing bool) {
 	b := s.tbox
-	clo, chi, alo, ahi := b.Min.X, b.Max.X, b.Min.Y, b.Max.Y
-	if a.dir == geom.Left || a.dir == geom.Right {
-		clo, chi, alo, ahi = b.Min.Y, b.Max.Y, b.Min.X, b.Max.X
+	alo, ahi := b.Min.Y, b.Max.Y
+	if a.dir.Horizontal() {
+		alo, ahi = b.Min.X, b.Max.X
 	}
-	lo, hi = geom.Max(a.iv.Lo, clo), geom.Min(a.iv.Hi, chi)
-	if a.step() > 0 && ahi > a.index {
-		return lo, hi, ahi + 1
+	if a.step() > 0 {
+		return ahi + 1, ahi > a.index
 	}
-	if a.step() < 0 && alo < a.index {
-		return lo, hi, alo - 1
+	return alo - 1, alo < a.index
+}
+
+// boxLines returns the cells lo..hi of a whose escape lines cross the
+// target box ahead of the segment, and the cut (boxCut) where those
+// escapes may stop: no target lies beyond it. lo > hi when no escape of
+// a can reach the box.
+func (s *lineSearch) boxLines(a *active) (lo, hi, cut int) {
+	cut, facing := s.boxCut(a)
+	if !facing {
+		return 1, 0, 0
 	}
-	return 1, 0, 0
+	b := s.tbox
+	clo, chi := b.Min.X, b.Max.X
+	if a.dir.Horizontal() {
+		clo, chi = b.Min.Y, b.Max.Y
+	}
+	return geom.Max(a.iv.Lo, clo), geom.Min(a.iv.Hi, chi), cut
 }
 
 // reaches is the solution-wave probe: it reports whether any escape of
@@ -292,11 +379,15 @@ func (s *lineSearch) reaches(wave []*active) bool {
 
 // sweepFinal sweeps active a of the solution wave: just its box lines,
 // each stopping at the box's far edge, with the normal covered marks.
-func (s *lineSearch) sweepFinal(a *active) {
-	if lo, hi, cut := s.boxLines(a); lo <= hi {
-		s.stats.addActive()
-		s.sweep(a, lo, hi, cut)
+// It reports false when the sweep was cancelled.
+func (s *lineSearch) sweepFinal(a *active) bool {
+	lo, hi, cut := s.boxLines(a)
+	if lo > hi {
+		return true
 	}
+	s.stats.addActive()
+	_, ok := s.sweep(a, lo, hi, cut, nil)
+	return ok
 }
 
 // lineView is what the escapes of one expansion direction scan: the
@@ -418,11 +509,18 @@ func (s *lineSearch) best() solution {
 // or the target. The stop profile then yields the perpendicular border
 // segments, appended to out as the next wave (NEW_ACTIVES).
 func (s *lineSearch) expand(a *active, out []*active) []*active {
-	advance, ok := s.sweep(a, a.iv.Lo, a.iv.Hi, s.borderCut(a))
+	return s.resume(a, nil, out)
+}
+
+// resume is expand for an active whose phase-1 profile is near: the
+// escapes that reached near's cut continue from there, the others keep
+// their phase-1 stop. A nil near expands a from its line.
+func (s *lineSearch) resume(a *active, near *nearProfile, out []*active) []*active {
+	advance, ok := s.sweep(a, a.iv.Lo, a.iv.Hi, s.borderCut(a), near)
 	if !ok {
 		return out // abandoned sweep; run's wave poll ends the search
 	}
-	return s.newActives(a, advance, s.ar.crossAdv, s.ar.crossOff, out)
+	return s.newActives(a, advance, s.ar.crossAdv, s.ar.crossOff, out, false)
 }
 
 // borderCut is the expansion-axis coordinate just past the plane border
@@ -444,9 +542,16 @@ func (s *lineSearch) borderCut(a *active) int {
 // sweep runs the escapes of a's cells lo..hi in order, each until its
 // natural stop or the expansion-axis coordinate cut, marking the swept
 // cells covered and recording every target contact as a solution.
-// advance[k] is how far the escape of cell lo+k travelled; the arena's
-// crossAdv/crossOff hold, per cell, the advances at which it crossed a
-// foreign wire. ok is false when the sweep was cancelled.
+// advance[k] is how far the escape of cell lo+k travelled from a's
+// line; the arena's crossAdv/crossOff hold, per cell, the advances at
+// which it crossed a foreign wire, in travel order. ok is false when
+// the sweep was cancelled.
+//
+// A non-nil near is the profile of an earlier sweep of the same cells,
+// cut at near.cut (run's phase 1). An escape that reached near.cut
+// resumes there; one that stopped before keeps its stop. The profile
+// then equals one sweep's from a's line to cut, and Cells counts only
+// the cells passed after the resume.
 //
 // Each escape is one scan of its line (lineView.stop) to its stop e.
 // The cells before e carry no event, covered or target bit, so each is
@@ -454,7 +559,7 @@ func (s *lineSearch) borderCut(a *active) int {
 // wire. A claimpoint always stops: a search never meets its own net's
 // claims, which routeNet releases before its first search (DESIGN.md
 // §5i).
-func (s *lineSearch) sweep(a *active, lo, hi, cut int) (advance []int, ok bool) {
+func (s *lineSearch) sweep(a *active, lo, hi, cut int, near *nearProfile) (advance []int, ok bool) {
 	step := a.step()
 	n := hi - lo + 1
 	ar := s.ar
@@ -464,6 +569,10 @@ func (s *lineSearch) sweep(a *active, lo, hi, cut int) (advance []int, ok bool) 
 
 	v := &s.views[a.dir]
 	b0, cutBit := a.index-v.bitMin, cut-v.bitMin
+	nearC := 0 // cells before near's cut
+	if near != nil {
+		nearC = (near.cut-a.index)*step - 1
+	}
 	net := s.net
 	swept := 0
 	for k := 0; k < n; k++ {
@@ -475,16 +584,27 @@ func (s *lineSearch) sweep(a *active, lo, hi, cut int) (advance []int, ok bool) 
 		crossOff[k] = len(crossAdv)
 		i := lo + k
 		l := i - v.lineMin
-		e := v.stop(l, b0, cutBit, step)
+		from, c := b0, a.cross
+		if near != nil {
+			for _, q := range near.cross[near.off[k]:near.off[k+1]] {
+				crossAdv = append(crossAdv, int(q))
+				c++
+			}
+			if adv := int(near.adv[k]); adv < nearC {
+				advance[k] = adv
+				continue
+			}
+			from = b0 + step*nearC
+		}
+		e := v.stop(l, from, cutBit, step)
 
-		// The run is the bits strictly between b0 and e.
+		// The run is the bits strictly between from and e.
 		off := l * v.words
-		runLo, runHi := b0+1, e
+		runLo, runHi := from+1, e
 		if step < 0 {
-			runLo, runHi = e+1, b0
+			runLo, runHi = e+1, from
 		}
 		acr := v.across[off : off+v.words]
-		c := a.cross
 		if step > 0 {
 			for q := nextSet(acr, acr, runLo, runHi); q < runHi; q = nextSet(acr, acr, q+1, runHi) {
 				if v.acrossNet[v.index(l, q)] != net {
@@ -501,9 +621,8 @@ func (s *lineSearch) sweep(a *active, lo, hi, cut int) (advance []int, ok bool) 
 			}
 		}
 		setRange(v.covered[off:off+v.words], runLo, runHi)
-		adv := runHi - runLo
-		advance[k] = adv
-		swept += adv
+		advance[k] = (e-b0)*step - 1
+		swept += runHi - runLo
 
 		if e != cutBit && ar.isTarget(v.index(l, e)) {
 			nj := e + v.bitMin
@@ -530,7 +649,9 @@ func (s *lineSearch) sweep(a *active, lo, hi, cut int) (advance []int, ok bool) 
 // cells with a single monotone walk over each column's crossing list;
 // each run's crossing count is the crossings at or before its first
 // cell, uniform over the run because runs never contain a crossing.
-func (s *lineSearch) newActives(a *active, advance, crossAdv, crossOff []int, out []*active) []*active {
+// With boxOnly it builds only the borders that have box lines
+// (boxLines): the ones the reach probe scans.
+func (s *lineSearch) newActives(a *active, advance, crossAdv, crossOff []int, out []*active, boxOnly bool) []*active {
 	step := a.step()
 	n := len(advance)
 	adv := func(k int) int {
@@ -552,8 +673,7 @@ func (s *lineSearch) newActives(a *active, advance, crossAdv, crossOff []int, ou
 		if loAdv > hiAdv {
 			return
 		}
-		na := s.ar.newActive()
-		*na = active{
+		b := active{
 			index:  i,
 			iv:     geom.Iv(a.index+step*loAdv, a.index+step*hiAdv),
 			dir:    dir,
@@ -561,6 +681,13 @@ func (s *lineSearch) newActives(a *active, advance, crossAdv, crossOff []int, ou
 			cross:  cross,
 			parent: a,
 		}
+		if boxOnly {
+			if lo, hi, _ := s.boxLines(&b); lo > hi {
+				return
+			}
+		}
+		na := s.ar.newActive()
+		*na = b
 		out = append(out, na)
 	}
 	emit := func(k, fromAdv, toAdv int, dir geom.Dir) {

@@ -36,17 +36,17 @@ func (s Segment) Canon() Segment {
 
 // Points enumerates the grid points of the segment, inclusive.
 func (s Segment) Points() []geom.Point {
-	d := geom.Pt(sign(s.B.X-s.A.X), sign(s.B.Y-s.A.Y))
 	var out []geom.Point
-	p := s.A
-	for {
+	for p, d := s.A, s.unit(); ; p = p.Add(d) {
 		out = append(out, p)
 		if p == s.B {
 			return out
 		}
-		p = p.Add(d)
 	}
 }
+
+// unit is the unit step from A toward B of an axis-aligned segment.
+func (s Segment) unit() geom.Point { return geom.Pt(sign(s.B.X-s.A.X), sign(s.B.Y-s.A.Y)) }
 
 func sign(x int) int {
 	switch {
@@ -328,12 +328,13 @@ func (pl *Plane) LayWire(net int32, segs []Segment) error {
 	}
 	segs = kept
 
-	// First pass: validate.
+	// First pass: validate. Both passes step along each segment in place
+	// rather than materializing its points.
 	for _, s := range segs {
 		if s.A.X != s.B.X && s.A.Y != s.B.Y {
 			return fmt.Errorf("route: wire segment %v-%v not axis aligned", s.A, s.B)
 		}
-		for _, p := range s.Points() {
+		for p, d := s.A, s.unit(); ; p = p.Add(d) {
 			if !pl.InBounds(p) {
 				return fmt.Errorf("route: wire point %v outside plane", p)
 			}
@@ -363,18 +364,23 @@ func (pl *Plane) LayWire(net int32, segs []Segment) error {
 					return fmt.Errorf("route: wire of net %d crosses a bend at %v", net, p)
 				}
 			}
+			if p == s.B {
+				break
+			}
 		}
 	}
 
 	// Second pass: occupancy.
 	for _, s := range segs {
-		for _, p := range s.Points() {
-			i := pl.idx(p)
-			if s.Horizontal() && s.Len() > 0 {
-				pl.setH(i, net)
+		h := s.Horizontal()
+		for p, d := s.A, s.unit(); ; p = p.Add(d) {
+			if h {
+				pl.setH(pl.idx(p), net)
+			} else {
+				pl.setV(pl.idx(p), net)
 			}
-			if !s.Horizontal() && s.Len() > 0 {
-				pl.setV(i, net)
+			if p == s.B {
+				break
 			}
 		}
 	}
