@@ -21,6 +21,7 @@ import (
 
 	"netart/internal/gen"
 	"netart/internal/netlist"
+	"netart/internal/obs"
 	"netart/internal/place"
 	"netart/internal/route"
 	"netart/internal/schematic"
@@ -475,32 +476,119 @@ func BenchmarkServiceGenerate(b *testing.B) {
 	})
 }
 
-// BenchmarkDualFront measures the §5.5.3 two-front initiation against
-// the default single front on the datapath diagram: equivalent results,
-// less area searched.
-func BenchmarkDualFront(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		dual bool
-	}{{"single-front", false}, {"dual-front", true}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			d := workload.Datapath16()
-			pr, err := place.Place(d, place.Options{PartSize: 7, BoxSize: 5})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var cells, unrouted int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rr, err := route.Route(pr, route.Options{Claimpoints: true, DualFront: cfg.dual})
+// ladderCase is one design of the degradation-ladder corpus: a
+// placement and the base routing options it is routed with.
+type ladderCase struct {
+	pr *place.Result
+	ro route.Options
+}
+
+// ladderCorpus builds BenchmarkLadder's corpus: Random(10…50) × seeds
+// 1–8 × part sizes {1, 3, 7} at box size 5, each routed in design and
+// shortest-first order with claimpoints on and margin 2 — 240 designs.
+func ladderCorpus(tb testing.TB) []ladderCase {
+	var cases []ladderCase
+	for n := 10; n <= 50; n += 10 {
+		for seed := int64(1); seed <= 8; seed++ {
+			for _, ps := range []int{1, 3, 7} {
+				pr, err := place.Place(workload.Random(n, seed), place.Options{PartSize: ps, BoxSize: 5})
 				if err != nil {
-					b.Fatal(err)
+					tb.Fatal(err)
 				}
-				cells = rr.Stats.Cells
-				unrouted = rr.UnroutedCount()
+				for _, shortest := range []bool{false, true} {
+					cases = append(cases, ladderCase{pr, route.Options{
+						Claimpoints: true, Margin: 2, OrderShortestFirst: shortest,
+					}})
+				}
 			}
-			b.ReportMetric(float64(cells), "cells-swept")
-			b.ReportMetric(float64(unrouted), "unrouted")
-		})
+		}
+	}
+	return cases
+}
+
+// ladderAttempt is one routing attempt of a ladder climb, read from its
+// route.attempt span.
+type ladderAttempt struct {
+	config   string // the attempt's name, e.g. "route[lee-bends+rip-up]"
+	unrouted int    // nets this attempt left unrouted
+	us       int64  // the attempt's wall time in microseconds
+}
+
+// climbLadder routes c under the best-effort policy and returns its
+// attempts in order.
+func climbLadder(tb testing.TB, c ladderCase) []ladderAttempt {
+	o := obs.NewObserver(nil, "ladder")
+	rep, err := gen.Run(context.Background(), nil, gen.Options{
+		Placement: c.pr, Route: c.ro, Degrade: gen.DegradeBestEffort, Observer: o,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out []ladderAttempt
+	for _, sp := range rep.Trace.Find("route").Children {
+		if sp.Stage != "route.attempt" {
+			continue
+		}
+		config, _ := sp.Attrs["config"].(string)
+		unrouted, _ := sp.Attrs["unrouted"].(int64)
+		out = append(out, ladderAttempt{config, int(unrouted), sp.ElapsedUs})
+	}
+	if len(out) != len(rep.Attempts) {
+		tb.Fatalf("%d route.attempt spans for attempts %v", len(out), rep.Attempts)
+	}
+	return out
+}
+
+// BenchmarkLadder climbs the degradation ladder over ladderCorpus and
+// reports, for each position on the ladder, the nets still unrouted
+// after it (summed over the corpus, each design counting its best
+// attempt so far) and the seconds its attempts took. Every design
+// starts on the same base configuration, so positions and attempt names
+// agree across the corpus; "climbed" counts the designs whose base left
+// nets unrouted. One iteration routes the whole corpus: run it with
+// -benchtime=1x.
+func BenchmarkLadder(b *testing.B) {
+	cases := ladderCorpus(b)
+	var climbs [][]ladderAttempt
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		climbs = climbs[:0]
+		for _, c := range cases {
+			climbs = append(climbs, climbLadder(b, c))
+		}
+	}
+	var names []string
+	for _, as := range climbs {
+		for k, a := range as {
+			if k == len(names) {
+				names = append(names, a.config)
+			}
+			if a.config != names[k] {
+				b.Fatalf("attempt %d is %s here, %s elsewhere", k, a.config, names[k])
+			}
+		}
+	}
+	unrouted := make([]int, len(names))
+	secs := make([]float64, len(names))
+	climbed := 0
+	for _, as := range climbs {
+		if len(as) > 1 {
+			climbed++
+		}
+		best := as[0].unrouted
+		for k := range names {
+			// A design that stopped early keeps its best for the rungs
+			// it did not need.
+			if k < len(as) {
+				best = min(best, as[k].unrouted)
+				secs[k] += float64(as[k].us) / 1e6
+			}
+			unrouted[k] += best
+		}
+	}
+	b.ReportMetric(float64(climbed), "climbed")
+	for k, name := range names {
+		b.ReportMetric(float64(unrouted[k]), name+"-unrouted")
+		b.ReportMetric(secs[k], name+"-s")
 	}
 }

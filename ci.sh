@@ -1,7 +1,7 @@
 #!/bin/sh
 # ci.sh — the repo's test tiers.
 #
-#   tier 1 (default):  go vet + build + full test suite (shuffled)
+#   tier 1 (default):  go vet + gofmt + build + full test suite (shuffled)
 #                      (+ staticcheck when installed, + the routing
 #                      determinism batteries under -race, + the
 #                      golden-corpus check, + a coverage floor on the
@@ -37,6 +37,16 @@ fi
 
 echo "== go vet ./..."
 go vet ./...
+
+# Formatting: gofmt must have nothing to rewrite anywhere in the tree,
+# so formatting drift fails here instead of riding along unnoticed.
+echo "== gofmt -l ."
+UNFORMATTED="$(gofmt -l .)"
+if [ -n "$UNFORMATTED" ]; then
+	echo "$UNFORMATTED"
+	echo "ci.sh: FAIL — gofmt would rewrite the files above" >&2
+	exit 1
+fi
 
 if command -v staticcheck >/dev/null 2>&1; then
 	echo "== staticcheck ./..."

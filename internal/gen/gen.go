@@ -60,7 +60,7 @@ const (
 	// DegradeStrict fails with *UnroutableError as soon as the
 	// configured router leaves any net unrouted (no escalation).
 	DegradeStrict
-	// DegradeEscalate walks the ladder — dual-front line expansion,
+	// DegradeEscalate walks the ladder — line expansion with rip-up,
 	// then Lee with rip-up — and fails with *UnroutableError only when
 	// every rung leaves failures.
 	DegradeEscalate

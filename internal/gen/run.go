@@ -248,33 +248,24 @@ func placeDesign(d *netlist.Design, opts Options) (*place.Result, error) {
 	}
 }
 
-// ladderRung is one escalation step of the degradation ladder.
-type ladderRung struct {
-	name string
-	opts route.Options
-}
-
 // ladderRungs derives the escalation sequence from the request's base
-// routing options: first the dual-front line-expansion variant (§5.5.3
-// halves the searched area, often finding corridors the single front
-// missed), then the Lee maze runner with the rip-up pass (complete
-// search plus displacement of blocking nets). Rungs identical to the
-// base configuration are skipped — re-running the same router cannot
-// improve a deterministic result.
-func ladderRungs(base route.Options) []ladderRung {
-	var rungs []ladderRung
-	dual := base
-	dual.Algorithm = route.AlgoLineExpansion
-	dual.DualFront = true
-	if !(base.Algorithm == route.AlgoLineExpansion && base.DualFront) {
-		rungs = append(rungs, ladderRung{"route[dual-front]", dual})
-	}
-	lee := base
-	lee.Algorithm = route.AlgoLee
-	lee.DualFront = false
-	lee.RipUp = true
-	if !(base.Algorithm == route.AlgoLee && base.RipUp) {
-		rungs = append(rungs, ladderRung{"route[lee+rip-up]", lee})
+// routing options: first the line-expansion router with the rip-up
+// pass (a failed net may displace the nets that block it), then the
+// Lee maze runner with rip-up (§5.2.2: a cell-by-cell search under the
+// same bends-first objective, whose different wires often leave room
+// where the line router's did not). Every other base option carries
+// over. A rung equal to the base configuration is skipped: re-running
+// the same router cannot improve a deterministic result.
+func ladderRungs(base route.Options) []route.Options {
+	var rungs []route.Options
+	for _, algo := range []route.Algo{route.AlgoLineExpansion, route.AlgoLee} {
+		if base.Algorithm == algo && base.RipUp {
+			continue
+		}
+		rung := base
+		rung.Algorithm = algo
+		rung.RipUp = true
+		rungs = append(rungs, rung)
 	}
 	return rungs
 }
@@ -316,7 +307,7 @@ func routeWithLadder(ctx context.Context, pr *place.Result, opts Options, o *obs
 		return rr, nil
 	}
 
-	base := fmt.Sprintf("route[%s]", describeRoute(opts.Route))
+	base := describeRoute(opts.Route)
 	attempts := []string{base}
 	best, err := run(base, opts.Route)
 	if err != nil {
@@ -330,8 +321,9 @@ func routeWithLadder(ctx context.Context, pr *place.Result, opts Options, o *obs
 		if ctx.Err() != nil {
 			return nil, attempts, ctx.Err()
 		}
-		attempts = append(attempts, rung.name)
-		rr, err := run(rung.name, rung.opts)
+		name := describeRoute(rung)
+		attempts = append(attempts, name)
+		rr, err := run(name, rung)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, attempts, ctx.Err()
@@ -348,17 +340,13 @@ func routeWithLadder(ctx context.Context, pr *place.Result, opts Options, o *obs
 	return best, attempts, nil
 }
 
-// describeRoute names the base routing configuration for the attempts
-// report.
+// describeRoute names a routing attempt for the attempts report, e.g.
+// "route[line-expansion]" or "route[lee-bends+rip-up]".
 func describeRoute(o route.Options) string {
-	name := o.Algorithm.String()
-	if o.DualFront && o.Algorithm == route.AlgoLineExpansion {
-		name += "+dual-front"
-	}
 	if o.RipUp {
-		name += "+rip-up"
+		return "route[" + o.Algorithm.String() + "+rip-up]"
 	}
-	return name
+	return "route[" + o.Algorithm.String() + "]"
 }
 
 // unroutedReport lists every incomplete net as "net: term1 term2 ...".

@@ -3,11 +3,13 @@ package gen
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
 	"netart/internal/obs"
 	"netart/internal/resilience"
+	"netart/internal/route"
 	"netart/internal/workload"
 )
 
@@ -138,6 +140,49 @@ func TestRunDegradedOutcomeInTrace(t *testing.T) {
 	}
 	if len(rt.Children) != 3 {
 		t.Fatalf("route attempt children = %d, want 3", len(rt.Children))
+	}
+}
+
+// TestLadderRungs pins the escalation sequence for every base router:
+// line expansion with rip-up, then Lee with rip-up, each skipped when
+// it is the base configuration itself. A rung changes only the router
+// and the rip-up pass; every other base option carries over. Attempts
+// are named by describeRoute.
+func TestLadderRungs(t *testing.T) {
+	const lineRipUp, leeRipUp = "route[line-expansion+rip-up]", "route[lee-bends+rip-up]"
+	for _, tc := range []struct {
+		algo  route.Algo
+		ripUp bool
+		base  string
+		rungs []string
+	}{
+		{route.AlgoLineExpansion, false, "route[line-expansion]", []string{lineRipUp, leeRipUp}},
+		{route.AlgoLineExpansion, true, lineRipUp, []string{leeRipUp}},
+		{route.AlgoLee, false, "route[lee-bends]", []string{lineRipUp, leeRipUp}},
+		{route.AlgoLee, true, leeRipUp, []string{lineRipUp}},
+		{route.AlgoLeeLength, false, "route[lee-length]", []string{lineRipUp, leeRipUp}},
+		{route.AlgoHightower, false, "route[hightower]", []string{lineRipUp, leeRipUp}},
+	} {
+		base := route.Options{Algorithm: tc.algo, RipUp: tc.ripUp, Claimpoints: true,
+			SwapObjective: true, OrderShortestFirst: true, Margin: 2}
+		t.Run(tc.base, func(t *testing.T) {
+			if got := describeRoute(base); got != tc.base {
+				t.Errorf("base named %q, want %q", got, tc.base)
+			}
+			rungs := ladderRungs(base)
+			var names []string
+			for _, r := range rungs {
+				names = append(names, describeRoute(r))
+				want := base
+				want.Algorithm, want.RipUp = r.Algorithm, true
+				if !reflect.DeepEqual(r, want) {
+					t.Errorf("rung %s = %+v, want the base with only router and rip-up changed", describeRoute(r), r)
+				}
+			}
+			if !reflect.DeepEqual(names, tc.rungs) {
+				t.Errorf("rungs %v, want %v", names, tc.rungs)
+			}
+		})
 	}
 }
 

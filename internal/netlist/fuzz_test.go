@@ -24,11 +24,11 @@ func FuzzParseDesign(f *testing.F) {
 	f.Add("a INV\nb INV\n", "n1 a Y\nn1 b A\nn2 root SIN\nn2 a A\n", "SIN in\n")
 	f.Add("g0 NAND2\n# comment\ng1 DFF\n", "clk root CK\nclk g1 CLK\nd g0 Y\nd g1 D\n", "CK in\n")
 	f.Add("x AND2\n", "n x Y\nn x A\n", "")
-	f.Add("x NOPE\n", "n x Y\n", "")            // unknown template
-	f.Add("x INV\nx INV\n", "n x Y\n", "")      // duplicate instance
+	f.Add("x NOPE\n", "n x Y\n", "")             // unknown template
+	f.Add("x INV\nx INV\n", "n x Y\n", "")       // duplicate instance
 	f.Add("x INV\n", "n root T\n", "T sideways") // bad io type
-	f.Add("x INV extra\n", "", "")              // wrong field count
-	f.Add("", "n root T\n", "T in\nT out\n")    // duplicate system terminal
+	f.Add("x INV extra\n", "", "")               // wrong field count
+	f.Add("", "n root T\n", "T in\nT out\n")     // duplicate system terminal
 
 	f.Fuzz(func(t *testing.T, calls, nets, ios string) {
 		var ioR *strings.Reader

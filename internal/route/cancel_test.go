@@ -46,12 +46,6 @@ func TestRouteCtxDeadline(t *testing.T) {
 			t.Errorf("%v: want DeadlineExceeded, got %v (result=%v)", algo, err, rr)
 		}
 	}
-	// Dual-front initiation shares the same cancellation plumbing.
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel()
-	if _, err := RouteCtx(ctx, pr, Options{Claimpoints: true, DualFront: true}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("dual-front: want DeadlineExceeded, got %v", err)
-	}
 }
 
 // TestRouteCtxBackgroundMatchesRoute asserts the context plumbing does

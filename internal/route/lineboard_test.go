@@ -104,7 +104,7 @@ func refSweep(s *lineSearch, a *active, lo, hi, cut int) (advance, crossAdv, cro
 			nidx := idx + didx
 			if ar.isTarget(nidx) {
 				segs := pathBack(a, i, nj)
-				s.sols = append(s.sols, solution{a: a, i: i, j: nj, cross: c, length: totalLen(segs), segs: segs})
+				s.sols = append(s.sols, solution{i: i, j: nj, cross: c, length: totalLen(segs), segs: segs})
 				break
 			}
 			if ar.coveredBits(nidx)&dbit != 0 || refHalts(s, nidx, along) {

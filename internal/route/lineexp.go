@@ -54,8 +54,7 @@ func (a *active) step() int {
 
 // solution records one contact with the target set.
 type solution struct {
-	a      *active
-	i, j   int // contact coordinates in a's frame
+	i, j   int // contact coordinates in the contacting active's frame
 	cross  int
 	length int
 	segs   []Segment
@@ -123,8 +122,8 @@ func dirBit(d geom.Dir) uint8 { return 1 << uint(d) }
 const allDirBits = 0x0f
 
 // newLineSearch prepares one search. A nil arena gets a private one
-// (used by callers without a router, like the dual-front fronts); a
-// shared arena is acquired here, clearing the previous search's marks.
+// (for callers without a router); a shared arena is acquired here,
+// clearing the previous search's marks.
 // The search has no targets until setTargets (or markTarget) adds them.
 func newLineSearch(pl *Plane, net int32, swap bool, ar *searchArena) *lineSearch {
 	if ar == nil {
@@ -628,7 +627,7 @@ func (s *lineSearch) sweep(a *active, lo, hi, cut int, near *nearProfile) (advan
 			nj := e + v.bitMin
 			segs := pathBack(a, i, nj)
 			s.sols = append(s.sols, solution{
-				a: a, i: i, j: nj,
+				i: i, j: nj,
 				cross:  c,
 				length: totalLen(segs),
 				segs:   segs,

@@ -161,8 +161,8 @@ func TestParallelMatchesSequentialWorkloads(t *testing.T) {
 
 // TestParallelMatchesSequentialOptionMatrix runs the battery under
 // every router feature that interacts with the plane state: claimpoint
-// release, shortest-first ordering, the rip-up pass, the dual-front
-// engine and the Lee baseline.
+// release, shortest-first ordering, the rip-up pass, the objective
+// swap and the Lee baseline.
 func TestParallelMatchesSequentialOptionMatrix(t *testing.T) {
 	variants := []struct {
 		name string
@@ -172,7 +172,6 @@ func TestParallelMatchesSequentialOptionMatrix(t *testing.T) {
 		{"claims", Options{Claimpoints: true}},
 		{"shortest", Options{Claimpoints: true, OrderShortestFirst: true}},
 		{"ripup", Options{Claimpoints: true, RipUp: true}},
-		{"dualfront", Options{Claimpoints: true, DualFront: true}},
 		{"swap", Options{Claimpoints: true, SwapObjective: true}},
 		{"lee", Options{Claimpoints: true, Algorithm: AlgoLee}},
 	}

@@ -318,19 +318,15 @@ func (pl *Plane) ReleaseAllClaims() {
 // Endpoints on terminals stay crossable only by nothing — they get both
 // directional marks.
 func (pl *Plane) LayWire(net int32, segs []Segment) error {
-	// Drop degenerate zero-length segments up front so they neither
+	// Every pass skips degenerate zero-length segments, so they neither
 	// mark occupancy nor fake junction endpoints.
-	kept := segs[:0:0]
-	for _, s := range segs {
-		if s.A != s.B {
-			kept = append(kept, s)
-		}
-	}
-	segs = kept
 
 	// First pass: validate. Both passes step along each segment in place
 	// rather than materializing its points.
 	for _, s := range segs {
+		if s.A == s.B {
+			continue
+		}
 		if s.A.X != s.B.X && s.A.Y != s.B.Y {
 			return fmt.Errorf("route: wire segment %v-%v not axis aligned", s.A, s.B)
 		}
@@ -372,6 +368,9 @@ func (pl *Plane) LayWire(net int32, segs []Segment) error {
 
 	// Second pass: occupancy.
 	for _, s := range segs {
+		if s.A == s.B {
+			continue
+		}
 		h := s.Horizontal()
 		for p, d := s.A, s.unit(); ; p = p.Add(d) {
 			if h {
@@ -386,24 +385,45 @@ func (pl *Plane) LayWire(net int32, segs []Segment) error {
 	}
 	// Corner / junction marking: a point owned by this net in both
 	// directions, or a segment endpoint that is not a terminal, becomes
-	// a bend obstacle.
-	ends := map[geom.Point]int{}
+	// a bend obstacle. Corners (wire in both axes), junctions (several
+	// segment ends) and endpoints landing on previously laid wire of the
+	// same net block crossing; a plain terminal endpoint reached by a
+	// single straight segment needs no mark (its point is blocked
+	// anyway). A point already marked is skipped, so each is marked once.
 	for _, s := range segs {
-		ends[s.A]++
-		ends[s.B]++
-	}
-	for p, n := range ends {
-		i := pl.idx(p)
-		both := pl.hNet[i] == net && pl.vNet[i] == net
-		// Corners (wire in both axes), junctions (several segment ends)
-		// and endpoints landing on previously laid wire of the same net
-		// block crossing; a plain terminal endpoint reached by a single
-		// straight segment needs no mark (its point is blocked anyway).
-		if both || n > 1 || pl.termNet[i] != net {
-			pl.setBend(i)
+		if s.A == s.B {
+			continue
+		}
+		for _, p := range [2]geom.Point{s.A, s.B} {
+			i := pl.idx(p)
+			if pl.bend[i] {
+				continue
+			}
+			both := pl.hNet[i] == net && pl.vNet[i] == net
+			if both || pl.termNet[i] != net || endsAt(segs, p) > 1 {
+				pl.setBend(i)
+			}
 		}
 	}
 	return nil
+}
+
+// endsAt counts the ends of the non-degenerate segments of segs that lie
+// on p. A wire has few segments, so a scan beats a map of its ends.
+func endsAt(segs []Segment, p geom.Point) int {
+	n := 0
+	for _, s := range segs {
+		if s.A == s.B {
+			continue
+		}
+		if s.A == p {
+			n++
+		}
+		if s.B == p {
+			n++
+		}
+	}
+	return n
 }
 
 // Mutable-field setters. Every routing-time write goes through one of

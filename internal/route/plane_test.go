@@ -142,6 +142,41 @@ func TestLayWireTerminalEndpointNotBendMarked(t *testing.T) {
 	}
 }
 
+// TestLayWireJunctionsWithoutAllocating lays a wire whose two straight
+// segments meet on a terminal, plus a zero-length segment on another
+// terminal, over fresh planes: only the meeting point becomes a bend
+// (the degenerate segment fakes no junction), and laying allocates
+// nothing.
+func TestLayWireJunctionsWithoutAllocating(t *testing.T) {
+	a, m, b := geom.Pt(1, 1), geom.Pt(5, 1), geom.Pt(9, 1)
+	segs := []Segment{{a, a}, {a, m}, {m, b}}
+	const runs = 20
+	pls := make([]*Plane, runs+1) // AllocsPerRun adds one warm-up call
+	for k := range pls {
+		pls[k] = NewPlane(geom.R(0, 0, 10, 10))
+		for _, p := range []geom.Point{a, m, b} {
+			if err := pls[k].SetTerminal(p, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	k := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := pls[k].LayWire(1, segs); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	})
+	if allocs != 0 {
+		t.Errorf("LayWire allocates %.1f times per call, want 0", allocs)
+	}
+	for _, pl := range pls {
+		if !pl.Bend(m) || pl.Bend(a) || pl.Bend(b) {
+			t.Fatalf("bends a/m/b = %v/%v/%v, want only the junction m", pl.Bend(a), pl.Bend(m), pl.Bend(b))
+		}
+	}
+}
+
 func TestLayWireRejections(t *testing.T) {
 	mk := func() *Plane {
 		pl := NewPlane(geom.R(0, 0, 10, 10))

@@ -49,11 +49,6 @@ type Options struct {
 	// the paper): each still-failed net may displace one nearby routed
 	// net, keeping the exchange only when both complete.
 	RipUp bool
-	// DualFront initiates point-to-point connections from both
-	// terminals with alternating wavefronts (§5.5.3) instead of the
-	// single source-to-target front. The found paths are equivalent;
-	// the searched area roughly halves on long connections.
-	DualFront bool
 	// Algorithm selects the search engine. The default is the paper's
 	// line-expansion router; the baselines of §5.2 are available for
 	// the comparison benches.
@@ -532,21 +527,8 @@ func (rt *router) initiate(terms []*netlist.Terminal, id int32) ([2]*netlist.Ter
 			break
 		}
 		target := rt.termPoint(p.b)
-		var segs []Segment
-		var ok bool
-		if rt.opts.DualFront && rt.opts.Algorithm == AlgoLineExpansion {
-			if rt.opts.Inject.Fire(resilience.SiteRouteWavefront) != nil {
-				continue // injected soft failure: try the next pair
-			}
-			rt.stats.Searches++
-			segs, ok = dualSearch(rt.plane, id,
-				rt.termPoint(p.a), rt.escapeDirs(p.a),
-				target, rt.escapeDirs(p.b),
-				rt.opts.SwapObjective, rt.stats, rt.cancel)
-		} else {
-			segs, ok = rt.search(p.a, id, func(q geom.Point) bool { return q == target },
-				[]geom.Point{target}, nil)
-		}
+		segs, ok := rt.search(p.a, id, func(q geom.Point) bool { return q == target },
+			[]geom.Point{target}, nil)
 		if !ok {
 			continue
 		}

@@ -210,15 +210,29 @@ func TestBestEffortDegradation(t *testing.T) {
 // still refuses incomplete results; under best-effort with a clean
 // router the ladder is never entered and the result is not degraded.
 func TestEscalationLadder(t *testing.T) {
+	// Every wavefront search fails, so every rung leaves nets unrouted:
+	// the 422 names the base attempt and both rungs, in climbing order.
+	inj := mustInjector(t, "route.wavefront:error:1", 7)
+	_, ts := newTestServer(t, Config{Workers: 1, Inject: inj})
+	resp, body := postJSON(t, ts.URL+"/v2/generate", Request{Workload: "fig61",
+		Options: GenOptions{DegradeMode: "escalate"}})
+	checkEnvelope(t, resp, body, http.StatusUnprocessableEntity)
+	var env ErrorResponse
+	decode(t, body, &env)
+	const climb = "after route[line-expansion], route[line-expansion+rip-up], route[lee-bends+rip-up]"
+	if !strings.HasSuffix(env.Error, climb) {
+		t.Errorf("escalate refusal %q does not end %q", env.Error, climb)
+	}
+
 	s := New(Config{Workers: 1, DegradeMode: gen.DegradeBestEffort})
 	defer s.Close()
-	resp, err := s.Generate(context.Background(), &Request{Workload: "fig61",
+	clean, err := s.Generate(context.Background(), &Request{Workload: "fig61",
 		Options: GenOptions{PartSize: 6, BoxSize: 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Degraded != nil {
-		t.Errorf("clean routing marked degraded: %+v", resp.Degraded)
+	if clean.Degraded != nil {
+		t.Errorf("clean routing marked degraded: %+v", clean.Degraded)
 	}
 }
 

@@ -94,6 +94,8 @@ func TestErrorEnvelope(t *testing.T) {
 			`{"workload":"fig61","options":{"place_workers":2}}`, 400},
 		{"retired route_workers", http.MethodPost, "/v2/generate",
 			`{"workload":"fig61","options":{"route_workers":2}}`, 400},
+		{"retired dual_front", http.MethodPost, "/v2/generate",
+			`{"workload":"fig61","options":{"dual_front":true}}`, 400},
 		{"negative mod_spacing", http.MethodPost, "/v2/generate",
 			`{"workload":"datapath","options":{"mod_spacing":-2}}`, 400},
 		{"negative box_spacing", http.MethodPost, "/v2/generate",

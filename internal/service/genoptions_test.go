@@ -80,7 +80,6 @@ func TestGenOptionsJSONTagTable(t *testing.T) {
 		"SwapObjective":  "swap_objective",
 		"RouteOrder":     "route_order",
 		"RipUp":          "rip_up",
-		"DualFront":      "dual_front",
 		"Margin":         "margin",
 		"DegradeMode":    "degrade_mode",
 	}

@@ -71,7 +71,6 @@ type GenOptions struct {
 	// paper's order). Replaces the former shortest_first boolean.
 	RouteOrder string `json:"route_order,omitempty"`
 	RipUp      bool   `json:"rip_up,omitempty"`
-	DualFront  bool   `json:"dual_front,omitempty"`
 	Margin     int    `json:"margin,omitempty"`
 
 	// DegradeMode selects the failure policy for incomplete routings:
@@ -95,7 +94,6 @@ func (o GenOptions) resolve() (gen.Options, error) {
 			Claimpoints:   !o.NoClaimpoints,
 			SwapObjective: o.SwapObjective,
 			RipUp:         o.RipUp,
-			DualFront:     o.DualFront,
 			Margin:        o.Margin,
 		},
 	}
@@ -162,9 +160,9 @@ func (o GenOptions) canonical(degrade gen.DegradeMode) string {
 	fmt.Fprintf(&b, "placer=%s part=%d box=%d conn=%d", orDefault(o.Placer, "paper"),
 		orDefaultInt(o.PartSize, 7), orDefaultInt(o.BoxSize, 5), o.MaxConnections)
 	fmt.Fprintf(&b, " pspc=%d bspc=%d mspc=%d", o.PartSpacing, o.BoxSpacing, o.ModSpacing)
-	fmt.Fprintf(&b, " algo=%s claims=%t swap=%t order=%s ripup=%t dual=%t margin=%d",
+	fmt.Fprintf(&b, " algo=%s claims=%t swap=%t order=%s ripup=%t margin=%d",
 		orDefault(o.Algorithm, "line-expansion"), !o.NoClaimpoints, o.SwapObjective,
-		orDefault(o.RouteOrder, "shortest"), o.RipUp, o.DualFront, o.Margin)
+		orDefault(o.RouteOrder, "shortest"), o.RipUp, o.Margin)
 	fmt.Fprintf(&b, " degrade=%s", degrade)
 	return b.String()
 }
