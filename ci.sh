@@ -17,14 +17,13 @@
 #                      -race (submit/stream/cancel lifecycle, SSE
 #                      ordering, jobs chaos gate), + the API-surface
 #                      golden check pinning the HTTP contract, + the
-#                      pipeline latency benchmark gated against the
-#                      committed BENCH_pipeline.json, + the service-tier
-#                      benchmark with restart-survival hit-rate,
-#                      re-shard convergence and async-job latency
-#                      records, gated in a temporary file)
+#                      route gate: cold life route time against an
+#                      in-process calibration kernel, as a median ratio
+#                      held to the committed one)
 #   tier 2 (-race):    tier 1 with the race detector (slower; exercises
 #                      the netartd worker pool / cache / stats paths and
-#                      the chaos suite's injected panics)
+#                      the chaos suite's injected panics); the route
+#                      gate still runs without it
 #
 # Usage: ./ci.sh [-race]
 set -eu
@@ -179,44 +178,19 @@ fi
 echo "== API surface: go test -run TestAPISurface ./internal/service"
 go test -run TestAPISurface ./internal/service
 
-# Pipeline latency record: cold (full pipeline) and warm (cache hit)
-# generate latencies per built-in workload, as machine-readable JSON.
-# The -gate flag compares the fresh numbers against the committed
-# record: a best route time (the cold stage or the better of two
-# cache-off repeats) more than 20% over the committed route_budget_ms
-# (in practice: the life workload; the sub-millisecond workloads are
-# noise-exempt) fails the build. The fresh record goes to a temporary
-# file, so a passing run never moves the committed baseline;
-# regenerate BENCH_pipeline.json on purpose with
-# `go run ./cmd/benchpipe -out BENCH_pipeline.json`.
-BENCH_FRESH="$(mktemp)"
-SERVICE_FRESH="$(mktemp)"
-trap 'rm -f "$BENCH_FRESH" "$SERVICE_FRESH"' EXIT
-echo "== go run ./cmd/benchpipe -gate BENCH_pipeline.json -out $BENCH_FRESH"
-go run ./cmd/benchpipe -gate BENCH_pipeline.json -out "$BENCH_FRESH"
-
-# Service tier record: store cold/warm tails, restart-survival hit rate
-# (must be 1.0 — checked below), singleflight stampede outcome and the
-# 3-replica fleet numbers, as machine-readable JSON. Like the pipeline
-# record it goes to a temporary file and the gates read it there;
-# regenerate the committed BENCH_service.json on purpose with
-# `go run ./cmd/benchpipe -service -workloads fig61,quickstart -out
-# BENCH_service.json`.
-echo "== go run ./cmd/benchpipe -service -workloads fig61,quickstart -out $SERVICE_FRESH"
-go run ./cmd/benchpipe -service -workloads fig61,quickstart -out "$SERVICE_FRESH"
-if ! grep -q '"hit_rate": 1' "$SERVICE_FRESH"; then
-	echo "ci.sh: FAIL — restart-survival hit rate below 1.0 in the service record" >&2
-	exit 1
-fi
-# Re-shard convergence gate: after a replica is killed, its keys must
-# remap onto the live set within 3 probe intervals and serve warm.
-if ! grep -q '"reshard_converged": true' "$SERVICE_FRESH"; then
-	echo "ci.sh: FAIL — fleet did not re-shard within the detection budget in the service record" >&2
-	exit 1
-fi
-if ! grep -q '"reshard_served_warm": true' "$SERVICE_FRESH"; then
-	echo "ci.sh: FAIL — remapped key not served warm within the detection budget in the service record" >&2
-	exit 1
-fi
+# Route gate: routing speed, measured as a ratio so a slow host does
+# not read as a slow router. BenchmarkRouteGate interleaves 31 cold
+# life routes (Fig. 6.7 options) with a fixed calibration kernel in one
+# process and fails when the median route/kernel ratio exceeds the
+# ratio committed in internal/gen/routegate_test.go by more than its
+# band. It runs alone and never under -race, which slows the route far
+# more than the kernel; `go test ./...` runs no benchmark, so it times
+# nothing. After a deliberate change in routing speed, re-measure the
+# ratio as that file says and commit it with the change. (Restart
+# survival and re-shard-then-serve-warm, once greps over a service
+# latency record, are assertions of TestRestartSurvival and
+# TestFleetChaosBattery in the store and fleet steps above.)
+echo "== route gate: go test -run '^\$' -bench '^BenchmarkRouteGate\$' -benchtime 1x ./internal/gen"
+go test -run '^$' -bench '^BenchmarkRouteGate$' -benchtime 1x ./internal/gen
 
 echo "ci.sh: all green"

@@ -40,8 +40,8 @@ func unroutedCount(t *testing.T, build func() *netlist.Design, opts Options) (in
 }
 
 // lifeFig67Options are the figure 6.7 spacings the dense LIFE fabric
-// needs (shared with cmd/benchpipe's cold run), under the benched
-// shortest-first ordering default.
+// needs (shared with BenchmarkRouteGate's cold routes), under the
+// benched shortest-first ordering default.
 func lifeFig67Options() Options {
 	return Options{
 		Place: place.Options{PartSize: 5, BoxSize: 5,

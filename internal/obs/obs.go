@@ -329,12 +329,21 @@ func snapshotSpan(s *Span) *SpanData {
 }
 
 // Find returns the first span in the tree (pre-order) named stage, or
-// nil. Convenience for tests and tools.
+// nil.
 func (t *TraceData) Find(stage string) *SpanData {
 	if t == nil {
 		return nil
 	}
 	return t.Root.find(stage)
+}
+
+// Elapsed is the span's wall time; a nil span (a stage Find did not
+// find) reads as zero.
+func (s *SpanData) Elapsed() time.Duration {
+	if s == nil {
+		return 0
+	}
+	return time.Duration(s.ElapsedUs) * time.Microsecond
 }
 
 func (s *SpanData) find(stage string) *SpanData {

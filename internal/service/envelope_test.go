@@ -79,6 +79,8 @@ func TestErrorEnvelope(t *testing.T) {
 	}{
 		{"method v1 generate", http.MethodGet, "/v1/generate", "", 405},
 		{"method v2 generate", http.MethodDelete, "/v2/generate", "", 405},
+		{"method v1 batch", http.MethodGet, "/v1/batch", "", 405},
+		{"method v2 batch", http.MethodPut, "/v2/batch", "", 405},
 		{"method v2 jobs", http.MethodDelete, "/v2/jobs", "", 405},
 		{"method stats", http.MethodPost, "/v1/stats", "", 405},
 		{"method job events", http.MethodPost, "/v2/jobs/abc/events", "", 405},

@@ -208,6 +208,14 @@ func TestFleetChaosBattery(t *testing.T) {
 			t.Fatal("remapped artwork differs from the reference")
 		}
 	}
+	// ...and warm: its new owner cached the result, so a repeat comes
+	// back as a cache hit within the same detection budget.
+	if _, ok := pollUntil(3*probeInterval, func() bool {
+		resp, gerr := reps[0].srv.GenerateV2(ctx, victimReq)
+		return gerr == nil && resp.Cached
+	}); !ok {
+		t.Fatal("remapped key was not served from cache within 3 probe intervals")
+	}
 	// The survivors' health surfaces report the outage.
 	if _, ok := pollUntil(time.Second, func() bool {
 		fh := reps[0].srv.Stats().Fleet

@@ -149,17 +149,6 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error
 	return nil
 }
 
-// requirePost is a defense-in-depth check for handlers invoked
-// outside Handler()'s method dispatch (direct tests, embedders).
-func requirePost(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeErrorStatus(w, http.StatusMethodNotAllowed, "use POST")
-		return false
-	}
-	return true
-}
-
 // traceHeader is set on every successful generate response (v1 and v2)
 // so callers can correlate a response with server-side trace output
 // without parsing the body.
@@ -168,9 +157,6 @@ const traceHeader = "X-Netart-Trace-Id"
 // generateV2 is the shared core of both generate handlers: decode,
 // run, stamp the trace header, and hand the v2 response to render.
 func (s *Server) generateV2(w http.ResponseWriter, r *http.Request, render func(*ResponseV2)) {
-	if !requirePost(w, r) {
-		return
-	}
 	var req Request
 	if err := s.decodeBody(w, r, &req); err != nil {
 		writeError(w, err)
@@ -292,9 +278,6 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request) ([]BatchItemV2
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
 	items, err := s.runBatch(w, r)
 	if err != nil {
 		writeError(w, err)
@@ -308,9 +291,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleBatchV2(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
 	items, err := s.runBatch(w, r)
 	if err != nil {
 		writeError(w, err)

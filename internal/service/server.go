@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -886,9 +887,12 @@ func (s *Server) compute(ctx context.Context, t0 time.Time, o *obs.Observer,
 	rsp.SetAttr("bytes", int64(len(rendered)))
 	rsp.End()
 
+	// One snapshot serves as the response's trace and as the source of
+	// the parse and render timings, so the span is the only stopwatch.
+	trace := o.Snapshot()
 	timings := rep.Timings
-	timings.Parse = spanDur(o, "parse")
-	timings.Render = spanDur(o, "render")
+	timings.Parse = trace.Find("parse").Elapsed()
+	timings.Render = trace.Find("render").Elapsed()
 
 	m := rep.Diagram.Metrics()
 	resp := ResponseV2{
@@ -903,10 +907,10 @@ func (s *Server) compute(ctx context.Context, t0 time.Time, o *obs.Observer,
 			Attempts: rep.Attempts,
 			Search:   rep.Search,
 			Degraded: degradedReport(rep.Degraded),
+			Trace:    trace,
 		},
 	}
 	resp.ElapsedMs = msSince(t0)
-	resp.Report.Trace = o.Snapshot()
 	s.obs.Traces.Inc()
 	s.cache.put(ctx, key, resp)
 	s.obs.StageObserve("total", time.Since(t0))
@@ -934,16 +938,6 @@ func endSpanError(sp *obs.Span, err error) {
 		return
 	}
 	sp.EndError(err)
-}
-
-// spanDur reads a stage duration back from the observer's span tree
-// (the span is the single timing source; no second stopwatch).
-func spanDur(o *obs.Observer, stage string) time.Duration {
-	td := o.Snapshot()
-	if sp := td.Find(stage); sp != nil {
-		return time.Duration(sp.ElapsedUs) * time.Microsecond
-	}
-	return 0
 }
 
 func msSince(t time.Time) float64 {
@@ -976,7 +970,12 @@ func (s *Server) resolveDesign(req *Request) (*netlist.Design, string, error) {
 		}
 		base, ok := s.builtins[req.Workload]
 		if !ok {
-			return nil, "", badRequest("unknown workload %q (fig61, datapath, cpu, life, chain)", req.Workload)
+			names := []string{"chain"}
+			for name := range s.builtins {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			return nil, "", badRequest("unknown workload %q (%s)", req.Workload, strings.Join(names, ", "))
 		}
 		// The base is shared across requests and placement mutates
 		// through design pointers: clone before generating.

@@ -411,24 +411,36 @@ func TestStatsEndpoint(t *testing.T) {
 
 // TestBadRequests covers the validation surface.
 func TestBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{Workers: 1})
+	// The unknown-workload message lists every workload the server
+	// serves.
+	workloads := []string{"chain"}
+	for name := range s.builtins {
+		workloads = append(workloads, name)
+	}
 	cases := []struct {
-		name string
-		req  Request
+		name     string
+		req      Request
+		mentions []string
 	}{
-		{"empty", Request{}},
-		{"unknown workload", Request{Workload: "warp-core"}},
-		{"both sources", Request{Workload: "fig61", Netlist: "w a Y", Calls: "a INV"}},
-		{"bad placer", Request{Workload: "fig61", Options: GenOptions{Placer: "astral"}}},
-		{"bad format", Request{Workload: "fig61", Format: "hologram"}},
-		{"netlist without calls", Request{Netlist: "w a Y"}},
-		{"unparsable netlist", Request{Netlist: "one-field", Calls: "a INV"}},
+		{"empty", Request{}, nil},
+		{"unknown workload", Request{Workload: "warp-core"}, workloads},
+		{"both sources", Request{Workload: "fig61", Netlist: "w a Y", Calls: "a INV"}, nil},
+		{"bad placer", Request{Workload: "fig61", Options: GenOptions{Placer: "astral"}}, nil},
+		{"bad format", Request{Workload: "fig61", Format: "hologram"}, nil},
+		{"netlist without calls", Request{Netlist: "w a Y"}, nil},
+		{"unparsable netlist", Request{Netlist: "one-field", Calls: "a INV"}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, body := postJSON(t, ts.URL+"/v1/generate", tc.req)
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Errorf("status = %d, want 400 (%s)", resp.StatusCode, body)
+			}
+			for _, want := range tc.mentions {
+				if !strings.Contains(string(body), want) {
+					t.Errorf("message %s does not name %q", body, want)
+				}
 			}
 		})
 	}

@@ -53,27 +53,34 @@ func corruptOnlyDiskEntry(t *testing.T, root string) {
 
 // TestRestartSurvival is the tentpole acceptance check: a tiered store
 // over a temp dir is filled, the server is stopped, a fresh server
-// over the same directory must serve the same request as a cache hit
-// with byte-identical artwork.
+// over the same directory must serve every earlier request (fig61 and
+// quickstart) as a cache hit with byte-identical artwork.
 func TestRestartSurvival(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Workers: 2, StoreBackend: "tiered", StoreDir: dir, CacheEntries: 64}
-	req := &Request{Workload: "fig61", Format: FormatSummary}
+	reqs := []*Request{
+		{Workload: "fig61", Format: FormatSummary},
+		{Workload: "quickstart", Format: FormatSummary},
+	}
 	ctx := context.Background()
 
 	s1, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := s1.GenerateV2(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Cached {
-		t.Fatal("cold request claims to be cached")
+	firsts := make([]*ResponseV2, len(reqs))
+	for i, req := range reqs {
+		first, err := s1.GenerateV2(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.Cached {
+			t.Fatalf("%s: cold request claims to be cached", req.Workload)
+		}
+		firsts[i] = first
 	}
 	// Same process, warm memory tier: sanity-check the hit path.
-	warm, err := s1.GenerateV2(ctx, req)
+	warm, err := s1.GenerateV2(ctx, reqs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,21 +95,23 @@ func TestRestartSurvival(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if got := s2.Stats().Cache.Entries; got != 1 {
-		t.Fatalf("restarted store reloaded %d entries, want 1", got)
+	if got := s2.Stats().Cache.Entries; got != len(reqs) {
+		t.Fatalf("restarted store reloaded %d entries, want %d", got, len(reqs))
 	}
-	revived, err := s2.GenerateV2(ctx, req)
-	if err != nil {
-		t.Fatal(err)
+	for i, req := range reqs {
+		revived, err := s2.GenerateV2(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !revived.Cached {
+			t.Fatalf("%s: restarted server recomputed instead of serving the persisted entry", req.Workload)
+		}
+		if a, b := normalizeResp(t, firsts[i]), normalizeResp(t, revived); string(a) != string(b) {
+			t.Fatalf("%s: artwork changed across restart:\n%s\n%s", req.Workload, a, b)
+		}
 	}
-	if !revived.Cached {
-		t.Fatal("restarted server recomputed instead of serving the persisted entry")
-	}
-	if a, b := normalizeResp(t, first), normalizeResp(t, revived); string(a) != string(b) {
-		t.Fatalf("artwork changed across restart:\n%s\n%s", a, b)
-	}
-	if hits := s2.Stats().Cache.Hits; hits != 1 {
-		t.Fatalf("restarted server counted %d hits, want 1", hits)
+	if hits := s2.Stats().Cache.Hits; hits != uint64(len(reqs)) {
+		t.Fatalf("restarted server counted %d hits, want %d", hits, len(reqs))
 	}
 }
 

@@ -23,8 +23,9 @@ import (
 // optional io records), plus placement/routing options and the desired
 // output format.
 type Request struct {
-	// Workload names a built-in network: fig61, datapath, cpu, life, or
-	// chain (with ChainLength modules). Mutually exclusive with Netlist.
+	// Workload names a built-in network: fig61, quickstart, datapath,
+	// cpu, life, or chain (with ChainLength modules). Mutually exclusive
+	// with Netlist.
 	Workload string `json:"workload,omitempty"`
 	// ChainLength sizes the chain workload (default 16).
 	ChainLength int `json:"chain_length,omitempty"`
