@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"netart/internal/geom"
@@ -362,22 +363,25 @@ func BenchmarkLineExpansionSearch(b *testing.B) {
 // BenchmarkCompletionLadder stacks the completion mechanisms on the
 // hardest canonical case (figure 6.5's pinned-controller placement):
 // bare sequential routing, the §5.7 retry pass, claimpoints, the §7
-// shortest-first ordering, and the rip-up extension.
+// shortest-first ordering, and the degradation ladder's re-placement
+// with wider white space (design order, best-effort).
 func BenchmarkCompletionLadder(b *testing.B) {
 	ladder := []struct {
-		name string
-		opts route.Options
+		name    string
+		opts    route.Options
+		degrade gen.DegradeMode
 	}{
-		{"bare", route.Options{NoRetry: true}},
-		{"retry", route.Options{}},
-		{"claims+retry", route.Options{Claimpoints: true}},
-		{"claims+shortest", route.Options{Claimpoints: true, OrderShortestFirst: true}},
-		{"claims+ripup", route.Options{Claimpoints: true, RipUp: true}},
+		{"bare", route.Options{NoRetry: true}, gen.DegradeNone},
+		{"retry", route.Options{}, gen.DegradeNone},
+		{"claims+retry", route.Options{Claimpoints: true}, gen.DegradeNone},
+		{"claims+shortest", route.Options{Claimpoints: true, OrderShortestFirst: true}, gen.DegradeNone},
+		{"claims+re-place", route.Options{Claimpoints: true}, gen.DegradeBestEffort},
 	}
 	for _, step := range ladder {
 		b.Run(step.name, func(b *testing.B) {
 			e := gen.Experiments()[4] // figure 6.5
 			e.Options.Route = step.opts
+			e.Options.Degrade = step.degrade
 			unrouted := 0
 			for i := 0; i < b.N; i++ {
 				row, _, err := gen.RunExperiment(e)
@@ -476,29 +480,27 @@ func BenchmarkServiceGenerate(b *testing.B) {
 	})
 }
 
-// ladderCase is one design of the degradation-ladder corpus: a
-// placement and the base routing options it is routed with.
+// ladderCase is one design of the degradation-ladder corpus with the
+// placement and routing options it is generated with.
 type ladderCase struct {
-	pr *place.Result
+	d  *netlist.Design
+	po place.Options
 	ro route.Options
 }
 
 // ladderCorpus builds BenchmarkLadder's corpus: Random(10…50) × seeds
 // 1–8 × part sizes {1, 3, 7} at box size 5, each routed in design and
 // shortest-first order with claimpoints on and margin 2 — 240 designs.
-func ladderCorpus(tb testing.TB) []ladderCase {
+// The ladder re-places, so a case carries its design, not a placement.
+func ladderCorpus() []ladderCase {
 	var cases []ladderCase
 	for n := 10; n <= 50; n += 10 {
 		for seed := int64(1); seed <= 8; seed++ {
 			for _, ps := range []int{1, 3, 7} {
-				pr, err := place.Place(workload.Random(n, seed), place.Options{PartSize: ps, BoxSize: 5})
-				if err != nil {
-					tb.Fatal(err)
-				}
 				for _, shortest := range []bool{false, true} {
-					cases = append(cases, ladderCase{pr, route.Options{
-						Claimpoints: true, Margin: 2, OrderShortestFirst: shortest,
-					}})
+					cases = append(cases, ladderCase{workload.Random(n, seed),
+						place.Options{PartSize: ps, BoxSize: 5},
+						route.Options{Claimpoints: true, Margin: 2, OrderShortestFirst: shortest}})
 				}
 			}
 		}
@@ -509,23 +511,24 @@ func ladderCorpus(tb testing.TB) []ladderCase {
 // ladderAttempt is one routing attempt of a ladder climb, read from its
 // route.attempt span.
 type ladderAttempt struct {
-	config   string // the attempt's name, e.g. "route[lee-bends+rip-up]"
+	config   string // the attempt's name, e.g. "place[spacing+1]"
 	unrouted int    // nets this attempt left unrouted
-	us       int64  // the attempt's wall time in microseconds
+	us       int64  // the attempt's wall time in microseconds, re-placement included
 }
 
-// climbLadder routes c under the best-effort policy and returns its
-// attempts in order.
-func climbLadder(tb testing.TB, c ladderCase) []ladderAttempt {
+// climbLadder generates c under the best-effort policy and returns its
+// attempts in order, plus the ratio of the shipped routing plane's area
+// to the base routing's (1 when the base shipped).
+func climbLadder(tb testing.TB, c ladderCase) ([]ladderAttempt, float64) {
 	o := obs.NewObserver(nil, "ladder")
-	rep, err := gen.Run(context.Background(), nil, gen.Options{
-		Placement: c.pr, Route: c.ro, Degrade: gen.DegradeBestEffort, Observer: o,
+	rep, err := gen.Run(context.Background(), c.d, gen.Options{
+		Place: c.po, Route: c.ro, Degrade: gen.DegradeBestEffort, Observer: o,
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	var out []ladderAttempt
-	for _, sp := range rep.Trace.Find("route").Children {
+	for _, sp := range o.Snapshot().Find("route").Children {
 		if sp.Stage != "route.attempt" {
 			continue
 		}
@@ -536,59 +539,106 @@ func climbLadder(tb testing.TB, c ladderCase) []ladderAttempt {
 	if len(out) != len(rep.Attempts) {
 		tb.Fatalf("%d route.attempt spans for attempts %v", len(out), rep.Attempts)
 	}
-	return out
+	if len(out) == 1 {
+		return out, 1
+	}
+	base, err := gen.Run(context.Background(), c.d, gen.Options{Place: c.po, Route: c.ro})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out, float64(planeArea(rep.Routing)) / float64(planeArea(base.Routing))
 }
 
-// BenchmarkLadder climbs the degradation ladder over ladderCorpus and
-// reports, for each position on the ladder, the nets still unrouted
-// after it (summed over the corpus, each design counting its best
-// attempt so far) and the seconds its attempts took. Every design
-// starts on the same base configuration, so positions and attempt names
-// agree across the corpus; "climbed" counts the designs whose base left
-// nets unrouted. One iteration routes the whole corpus: run it with
-// -benchtime=1x.
-func BenchmarkLadder(b *testing.B) {
-	cases := ladderCorpus(b)
+// planeArea is the size of a routing's plane in points.
+func planeArea(rr *route.Result) int {
+	b := rr.Plane.Bounds
+	return (b.Max.X - b.Min.X + 1) * (b.Max.Y - b.Min.Y + 1)
+}
+
+// ladderStats summarizes one climb of the whole corpus. Every design
+// starts on the same base configuration, so ladder positions and
+// attempt names agree across the corpus.
+type ladderStats struct {
+	names    []string  // attempt name by ladder position
+	unrouted []int     // nets left after each position, each design counting its best attempt so far
+	secs     []float64 // seconds each position's attempts took
+	climbed  int       // designs whose base left nets unrouted
+	area     float64   // mean shipped/base plane-area ratio over the climbed designs
+}
+
+// climbCorpus climbs the ladder on every design of ladderCorpus.
+func climbCorpus(tb testing.TB) ladderStats {
+	var st ladderStats
 	var climbs [][]ladderAttempt
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		climbs = climbs[:0]
-		for _, c := range cases {
-			climbs = append(climbs, climbLadder(b, c))
-		}
-	}
-	var names []string
-	for _, as := range climbs {
-		for k, a := range as {
-			if k == len(names) {
-				names = append(names, a.config)
-			}
-			if a.config != names[k] {
-				b.Fatalf("attempt %d is %s here, %s elsewhere", k, a.config, names[k])
-			}
-		}
-	}
-	unrouted := make([]int, len(names))
-	secs := make([]float64, len(names))
-	climbed := 0
-	for _, as := range climbs {
+	for _, c := range ladderCorpus() {
+		as, ratio := climbLadder(tb, c)
+		climbs = append(climbs, as)
 		if len(as) > 1 {
-			climbed++
+			st.climbed++
+			st.area += ratio
 		}
+		for k, a := range as {
+			if k == len(st.names) {
+				st.names = append(st.names, a.config)
+			}
+			if a.config != st.names[k] {
+				tb.Fatalf("attempt %d is %s here, %s elsewhere", k, a.config, st.names[k])
+			}
+		}
+	}
+	if st.climbed > 0 {
+		st.area /= float64(st.climbed)
+	}
+	st.unrouted = make([]int, len(st.names))
+	st.secs = make([]float64, len(st.names))
+	for _, as := range climbs {
 		best := as[0].unrouted
-		for k := range names {
+		for k := range st.names {
 			// A design that stopped early keeps its best for the rungs
 			// it did not need.
 			if k < len(as) {
 				best = min(best, as[k].unrouted)
-				secs[k] += float64(as[k].us) / 1e6
+				st.secs[k] += float64(as[k].us) / 1e6
 			}
-			unrouted[k] += best
+			st.unrouted[k] += best
 		}
 	}
-	b.ReportMetric(float64(climbed), "climbed")
-	for k, name := range names {
-		b.ReportMetric(float64(unrouted[k]), name+"-unrouted")
-		b.ReportMetric(secs[k], name+"-s")
+	return st
+}
+
+// BenchmarkLadder climbs the degradation ladder over ladderCorpus and
+// reports, for each position on the ladder, the nets still unrouted
+// after it and the seconds its attempts took (a rung's re-placement
+// included), plus the designs climbed and their mean plane-area ratio,
+// shipped against base. One iteration routes the whole corpus: run it
+// with -benchtime=1x.
+func BenchmarkLadder(b *testing.B) {
+	var st ladderStats
+	for i := 0; i < b.N; i++ {
+		st = climbCorpus(b)
+	}
+	b.ReportMetric(float64(st.climbed), "climbed")
+	b.ReportMetric(st.area, "area-ratio")
+	for k, name := range st.names {
+		b.ReportMetric(float64(st.unrouted[k]), name+"-unrouted")
+		b.ReportMetric(st.secs[k], name+"-s")
+	}
+}
+
+// TestLadderCorpus climbs ladderCorpus once under best-effort and pins
+// what the ladder achieves: the base routing leaves 867 nets unrouted
+// on 103 designs, partition spacing +1 leaves 6, and every spacing +1
+// completes the rest, so no design needs the last rung.
+func TestLadderCorpus(t *testing.T) {
+	st := climbCorpus(t)
+	names := []string{"route[line-expansion]", "place[part-spacing+1]", "place[spacing+1]"}
+	if !reflect.DeepEqual(st.names, names) {
+		t.Errorf("attempts %v, want %v", st.names, names)
+	}
+	if unrouted := []int{867, 6, 0}; !reflect.DeepEqual(st.unrouted, unrouted) {
+		t.Errorf("nets left after each attempt %v, want %v", st.unrouted, unrouted)
+	}
+	if st.climbed != 103 {
+		t.Errorf("%d designs climbed, want 103", st.climbed)
 	}
 }

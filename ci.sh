@@ -1,7 +1,8 @@
 #!/bin/sh
 # ci.sh — the repo's test tiers.
 #
-#   tier 1 (default):  go vet + gofmt + build + full test suite (shuffled)
+#   tier 1 (default):  go vet + gofmt + build + vet of the perfbench
+#                      module + full test suite (shuffled)
 #                      (+ staticcheck when installed, + the routing
 #                      determinism batteries under -race, + the
 #                      golden-corpus check, + a coverage floor on the
@@ -56,6 +57,13 @@ fi
 
 echo "== go build ./..."
 go build ./...
+
+# perfbench is a module of its own (replace netart => ../, no other
+# dependencies), so `go vet ./...` above never compiles it. Vet it here:
+# an exported name it uses that a change removes fails CI, not the
+# next benchmark run.
+echo "== (cd perfbench && go vet ./...)"
+(cd perfbench && go vet ./...)
 
 # -shuffle=on randomizes test (and subtest-source) execution order, so
 # accidental inter-test state dependencies fail loudly instead of

@@ -45,7 +45,6 @@ func run() error {
 	noclaims := flag.Bool("noclaims", false, "disable the claimpoint extension")
 	routeOrder := flag.String("route-order", "shortest",
 		"net routing order: shortest (default, §7 extension) or design (the paper's order)")
-	ripup := flag.Bool("ripup", false, "rip-up-and-reroute pass for failed nets (extension)")
 	trace := flag.Bool("trace", false, "print the routing span tree to stderr")
 	out := flag.String("o", "", "output file (default stdout)")
 	name := flag.String("name", "", "design name (default: graphic file's tname)")
@@ -95,7 +94,6 @@ func run() error {
 		Claimpoints:        !*noclaims,
 		SwapObjective:      *s,
 		OrderShortestFirst: shortest,
-		RipUp:              *ripup,
 		Prerouted:          pre.PreroutedFor(dsn),
 	}
 	ropts.FixedBorder[geom.Up] = *u
@@ -119,9 +117,7 @@ func run() error {
 		}
 	}
 	fmt.Fprintln(os.Stderr, dg.Summary())
-	if rep.Trace != nil {
-		fmt.Fprint(os.Stderr, obs.FormatTree(rep.Trace))
-	}
+	fmt.Fprint(os.Stderr, obs.FormatTree(opts.Observer.Snapshot()))
 	if err := dg.Verify(); err != nil {
 		return fmt.Errorf("self check failed: %w", err)
 	}

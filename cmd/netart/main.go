@@ -53,7 +53,6 @@ func run() error {
 	noclaims := flag.Bool("noclaims", false, "disable the claimpoint extension")
 	routeOrder := flag.String("route-order", "shortest",
 		"net routing order: shortest (default, §7 extension) or design (the paper's order)")
-	ripup := flag.Bool("ripup", false, "rip-up-and-reroute pass for failed nets (extension)")
 	verify := flag.Bool("verify-routing", false,
 		"machine-check the routed geometry against the netlist before rendering")
 	trace := flag.Bool("trace", false, "print the per-stage span tree to stderr")
@@ -116,7 +115,6 @@ func run() error {
 			Claimpoints:        !*noclaims,
 			SwapObjective:      *swap,
 			OrderShortestFirst: shortest,
-			RipUp:              *ripup,
 		},
 	}
 	switch *placer {
@@ -150,9 +148,7 @@ func run() error {
 		fmt.Fprintln(os.Stderr, "equivalence: wire geometry matches the netlist")
 	}
 	fmt.Fprintln(os.Stderr, dg.Summary())
-	if rep.Trace != nil {
-		fmt.Fprint(os.Stderr, obs.FormatTree(rep.Trace))
-	}
+	fmt.Fprint(os.Stderr, obs.FormatTree(opts.Observer.Snapshot()))
 
 	if *ascii {
 		fmt.Print(dg.ASCII())

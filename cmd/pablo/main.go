@@ -96,8 +96,6 @@ func run() error {
 	}
 	dg := schematic.FromPlacement(rep.Placement)
 	fmt.Fprintln(os.Stderr, dg.Summary())
-	if rep.Trace != nil {
-		fmt.Fprint(os.Stderr, obs.FormatTree(rep.Trace))
-	}
+	fmt.Fprint(os.Stderr, obs.FormatTree(opts.Observer.Snapshot()))
 	return cli.WriteDiagram(*out, dg)
 }

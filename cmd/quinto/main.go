@@ -125,9 +125,7 @@ func checkModule(spec netlist.TemplateSpec, trace bool) error {
 	if err != nil {
 		return err
 	}
-	if rep.Trace != nil {
-		fmt.Fprint(os.Stderr, obs.FormatTree(rep.Trace))
-	}
+	fmt.Fprint(os.Stderr, obs.FormatTree(opts.Observer.Snapshot()))
 	if n := rep.Unrouted(); n > 0 {
 		return fmt.Errorf("%d terminal net(s) unroutable", n)
 	}

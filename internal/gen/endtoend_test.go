@@ -87,7 +87,7 @@ func TestCPUWorkloadGenerates(t *testing.T) {
 		d := workload.CPU()
 		rep, err := gen.Run(context.Background(), d, gen.Options{
 			Place: po,
-			Route: route.Options{Claimpoints: true, RipUp: true},
+			Route: route.Options{Claimpoints: true},
 		})
 		if err != nil {
 			t.Fatal(err)

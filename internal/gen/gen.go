@@ -60,9 +60,11 @@ const (
 	// DegradeStrict fails with *UnroutableError as soon as the
 	// configured router leaves any net unrouted (no escalation).
 	DegradeStrict
-	// DegradeEscalate walks the ladder — line expansion with rip-up,
-	// then Lee with rip-up — and fails with *UnroutableError only when
-	// every rung leaves failures.
+	// DegradeEscalate walks the ladder — re-placement with wider white
+	// space, routed with the request's own router (see ladderRungs) —
+	// and fails with *UnroutableError only when every rung leaves
+	// failures. Over a caller-supplied placement there is nothing to
+	// re-place, and it acts as DegradeStrict.
 	DegradeEscalate
 	// DegradeBestEffort walks the ladder and, when failures remain,
 	// returns the least-bad partial diagram with Diagram.Degraded
@@ -137,8 +139,9 @@ type Options struct {
 	Observer *obs.Observer
 	// Progress, when non-nil, receives streaming progress events:
 	// placement geometry once it is final, then per routing attempt the
-	// attempt name followed by every net in routing order (the
-	// async job API streams these over SSE). Nil costs nothing.
+	// attempt name followed by every net in routing order, each ladder
+	// rung's attempt preceded by its re-placement (the async job API
+	// streams these over SSE). Nil costs nothing.
 	Progress ProgressFunc
 	// StopAfterPlace runs only the placement phase (the PABLO half):
 	// Report.Placement is filled, Report.Diagram stays nil.

@@ -7,20 +7,21 @@ import (
 
 // Progress event kinds, in the order a run emits them: one Placed
 // event once placement geometry is final, then per routing attempt an
-// Attempt event followed by one Net event per net in routing order. The degradation ladder repeats the Attempt/Net sequence per
-// rung it escalates through.
+// Attempt event followed by one Net event per net in routing order.
+// The degradation ladder repeats the sequence per rung it escalates
+// through: each rung re-places, so it opens with a fresh Placed event.
 const (
-	// ProgressPlaced reports the finished placement; Event.Placement
-	// carries the geometry every routing attempt will run over.
+	// ProgressPlaced reports a finished placement; Event.Placement
+	// carries the geometry the routing attempts that follow run over.
 	ProgressPlaced = "placed"
 	// ProgressAttempt reports the start of one routing attempt;
 	// Event.Attempt names its configuration (the same names Report.
 	// Attempts lists).
 	ProgressAttempt = "attempt"
 	// ProgressNet reports one net routed by the attempt's main routing
-	// pass, strictly in routing order (see
-	// route.Options.OnCommit for the exact contract, including how the
-	// retry/rip-up passes may still improve failed nets afterwards).
+	// pass, strictly in routing order (see route.Options.OnCommit for
+	// the exact contract, including how the retry pass may still
+	// improve failed nets afterwards).
 	ProgressNet = "net"
 )
 

@@ -70,31 +70,32 @@ func (st *StageTimings) UnmarshalJSON(b []byte) error {
 
 // Report is the result of one Run: the finished diagram plus
 // everything the run learned about itself — per-stage wall times, the
-// routing attempts the degradation ladder made, the router's work
-// counters, and (when an observer with tracing was attached) the span
-// tree.
+// routing attempts the degradation ladder made and the router's work
+// counters. The span tree stays with the observer that recorded it
+// (Options.Observer.Snapshot).
 type Report struct {
 	// Diagram is the finished schematic (nil when StopAfterPlace).
 	Diagram *schematic.Diagram
-	// Placement is the placement result (the PABLO half).
+	// Placement is the placement result (the PABLO half): the one the
+	// diagram was routed over, which is a ladder rung's re-placement
+	// when that rung won.
 	Placement *place.Result
 	// Routing is the raw routing result, including per-net outcomes
 	// (nil when StopAfterPlace).
 	Routing *route.Result
 	// Timings holds per-stage wall times (Place/Route filled by Run).
+	// Place is the base placement; a ladder rung's re-placement counts
+	// in Route, inside its route.attempt span.
 	Timings StageTimings
 	// Attempts names the routing configurations tried, in order; more
 	// than one means the degradation ladder escalated.
 	Attempts []string
-	// Search aggregates the router's work counters over the run.
+	// Search holds the router's work counters of the attempt that
+	// shipped (Routing), not summed over the ladder's attempts.
 	Search route.SearchStats
 	// Degraded mirrors Diagram.Degraded for callers that inspect the
 	// report without the diagram.
 	Degraded *schematic.Degradation
-	// Trace is the span tree recorded by Options.Observer, nil when
-	// tracing was off. The service takes its own later snapshot to
-	// include the parse/render spans it wraps around Run.
-	Trace *obs.TraceData
 }
 
 // Unrouted returns the number of nets left with unconnected terminals
@@ -147,7 +148,7 @@ func Run(ctx context.Context, d *netlist.Design, opts Options) (*Report, error) 
 		t0 := time.Now()
 		err := resilience.Recover("place", func() error {
 			var perr error
-			pr, perr = placeDesign(d, opts)
+			pr, perr = placeDesign(d, opts.Placer, opts.Place)
 			return perr
 		})
 		rep.Timings.Place = time.Since(t0)
@@ -170,11 +171,10 @@ func Run(ctx context.Context, d *netlist.Design, opts Options) (*Report, error) 
 	if d == nil {
 		d = pr.Design
 	}
-	// Placement geometry is final from here on (routing never moves a
-	// module), so streaming consumers may draw it now.
+	// Routing never moves a module, so streaming consumers may draw the
+	// placement now; a ladder rung that re-places streams its own.
 	opts.Progress.emit(ProgressEvent{Kind: ProgressPlaced, Placement: pr})
 	if opts.StopAfterPlace {
-		rep.Trace = o.Snapshot()
 		return rep, nil
 	}
 	if err := ctx.Err(); err != nil {
@@ -183,19 +183,19 @@ func Run(ctx context.Context, d *netlist.Design, opts Options) (*Report, error) 
 
 	sp := o.StartSpan("route")
 	t1 := time.Now()
-	rr, attempts, err := routeWithLadder(ctx, pr, opts, o)
+	rr, attempts, err := routeWithLadder(ctx, d, pr, opts, o)
 	rep.Timings.Route = time.Since(t1)
 	rep.Attempts = attempts
 	if err != nil {
 		endSpanError(sp, err)
 		return nil, err
 	}
+	rep.Placement = rr.Placement
 	rep.Routing = rr
 	rep.Search = rr.Stats
 	sp.SetAttr("searches", int64(rr.Stats.Searches))
 	sp.SetAttr("waves", int64(rr.Stats.Waves))
 	sp.SetAttr("actives", int64(rr.Stats.Actives))
-	sp.SetAttr("rip_ups", int64(rr.Stats.RipUps))
 	sp.SetAttr("attempts", int64(len(attempts)))
 	sp.SetAttr("unrouted", int64(rr.UnroutedCount()))
 
@@ -205,7 +205,6 @@ func Run(ctx context.Context, d *netlist.Design, opts Options) (*Report, error) 
 		case DegradeStrict, DegradeEscalate:
 			uerr := &UnroutableError{Unrouted: unrouted, Attempts: attempts}
 			sp.EndError(uerr)
-			rep.Trace = o.Snapshot()
 			return nil, uerr
 		case DegradeBestEffort:
 			dg.Degraded = &schematic.Degradation{
@@ -220,7 +219,6 @@ func Run(ctx context.Context, d *netlist.Design, opts Options) (*Report, error) 
 	sp.End()
 	rep.Diagram = dg
 	rep.Degraded = dg.Degraded
-	rep.Trace = o.Snapshot()
 	return rep, nil
 }
 
@@ -235,52 +233,81 @@ func endSpanError(sp *obs.Span, err error) {
 }
 
 // placeDesign runs only the placement phase with the selected placer.
-func placeDesign(d *netlist.Design, opts Options) (*place.Result, error) {
-	switch opts.Placer {
+func placeDesign(d *netlist.Design, placer Placer, po place.Options) (*place.Result, error) {
+	switch placer {
 	case PlaceEpitaxial:
-		return place.Epitaxial(d, 2+opts.Place.ModSpacing)
+		return place.Epitaxial(d, 2+po.ModSpacing)
 	case PlaceMinCut:
-		return place.MinCut(d, 1+opts.Place.ModSpacing)
+		return place.MinCut(d, 1+po.ModSpacing)
 	case PlaceLogicColumns:
-		return place.LogicColumns(d, 2+opts.Place.ModSpacing)
+		return place.LogicColumns(d, 2+po.ModSpacing)
 	default:
-		return place.Place(d, opts.Place)
+		return place.Place(d, po)
 	}
 }
 
-// ladderRungs derives the escalation sequence from the request's base
-// routing options: first the line-expansion router with the rip-up
-// pass (a failed net may displace the nets that block it), then the
-// Lee maze runner with rip-up (§5.2.2: a cell-by-cell search under the
-// same bends-first objective, whose different wires often leave room
-// where the line router's did not). Every other base option carries
-// over. A rung equal to the base configuration is skipped: re-running
-// the same router cannot improve a deterministic result.
-func ladderRungs(base route.Options) []route.Options {
-	var rungs []route.Options
-	for _, algo := range []route.Algo{route.AlgoLineExpansion, route.AlgoLee} {
-		if base.Algorithm == algo && base.RipUp {
-			continue
-		}
-		rung := base
-		rung.Algorithm = algo
-		rung.RipUp = true
-		rungs = append(rungs, rung)
+// rung is one step of the degradation ladder: the request's placement
+// options with wider white space, named for the attempts report.
+type rung struct {
+	name  string
+	place place.Options
+}
+
+// ladderRungs derives the escalation sequence from the request's placer
+// and placement options. The paper's lever for unroutable nets is white
+// space, not a heavier router ("there should always be enough routing
+// space between the modules", §5.7), so every rung re-places with more
+// tracks and routes with the request's own router: partition spacing
+// +1 (-e), then every spacing +1 (-e -i -s), then every spacing +2.
+// Pinned modules (place.Options.Fixed) keep their positions. The
+// baseline placers read only the module spacing, so they skip the
+// partition-only rung, which they cannot feel.
+func ladderRungs(placer Placer, base place.Options) []rung {
+	widen := func(name string, part, all int) rung {
+		po := base
+		po.PartSpacing += part + all
+		po.BoxSpacing += all
+		po.ModSpacing += all
+		return rung{name, po}
 	}
-	return rungs
+	var rungs []rung
+	if placer == PlacePaper {
+		rungs = append(rungs, widen("place[part-spacing+1]", 1, 0))
+	}
+	return append(rungs, widen("place[spacing+1]", 0, 1), widen("place[spacing+2]", 0, 2))
 }
 
 // routeWithLadder routes the placement, escalating through the ladder
 // when the policy asks for it. It returns the best (fewest-failures)
-// result seen, the names of the attempts made, and an error only when
-// the first attempt fails hard or the context dies. Later rungs fail
-// soft: an injected fault or panic in an escalation attempt must never
+// result seen, whose Placement is the placement it was routed over, the
+// names of the attempts made, and an error only when the first attempt
+// fails hard or the context dies. Rungs fail soft: an injected fault, a
+// panic or a resource cap in a re-placement or its routing must never
 // destroy the base result it was trying to improve. Every attempt
-// appears as a "route.attempt" span under the route span.
-func routeWithLadder(ctx context.Context, pr *place.Result, opts Options, o *obs.Observer) (*route.Result, []string, error) {
-	run := func(name string, ro route.Options) (*route.Result, error) {
+// appears as a "route.attempt" span under the route span, a rung's
+// re-placement included. A caller-supplied placement (Options.
+// Placement) cannot be re-placed, so it gets no rungs: escalate then
+// acts as strict and best-effort ships the base result.
+func routeWithLadder(ctx context.Context, d *netlist.Design, pr *place.Result, opts Options, o *obs.Observer) (*route.Result, []string, error) {
+	run := func(name string, po *place.Options) (*route.Result, error) {
 		asp := o.StartSpan("route.attempt")
 		asp.SetAttrString("config", name)
+		rpr := pr
+		if po != nil {
+			err := resilience.Recover("place", func() error {
+				var perr error
+				rpr, perr = placeDesign(d, opts.Placer, *po)
+				return perr
+			})
+			if err != nil {
+				endSpanError(asp, err)
+				return nil, err
+			}
+			// The rung's nets are drawn over new geometry: stream it
+			// before the attempt opens.
+			opts.Progress.emit(ProgressEvent{Kind: ProgressPlaced, Placement: rpr})
+		}
+		ro := opts.Route
 		if opts.Progress != nil {
 			opts.Progress.emit(ProgressEvent{Kind: ProgressAttempt, Attempt: name})
 			// Bridge the router's per-net hook onto the progress stream:
@@ -295,7 +322,7 @@ func routeWithLadder(ctx context.Context, pr *place.Result, opts Options, o *obs
 		var rr *route.Result
 		err := resilience.Recover("route", func() error {
 			var rerr error
-			rr, rerr = route.RouteCtx(ctx, pr, ro)
+			rr, rerr = route.RouteCtx(ctx, rpr, ro)
 			return rerr
 		})
 		if err != nil {
@@ -309,21 +336,20 @@ func routeWithLadder(ctx context.Context, pr *place.Result, opts Options, o *obs
 
 	base := describeRoute(opts.Route)
 	attempts := []string{base}
-	best, err := run(base, opts.Route)
+	best, err := run(base, nil)
 	if err != nil {
 		return nil, attempts, err
 	}
-	if best.UnroutedCount() == 0 || opts.Degrade < DegradeEscalate {
+	if best.UnroutedCount() == 0 || opts.Degrade < DegradeEscalate || opts.Placement != nil {
 		return best, attempts, nil
 	}
 
-	for _, rung := range ladderRungs(opts.Route) {
+	for _, r := range ladderRungs(opts.Placer, opts.Place) {
 		if ctx.Err() != nil {
 			return nil, attempts, ctx.Err()
 		}
-		name := describeRoute(rung)
-		attempts = append(attempts, name)
-		rr, err := run(name, rung)
+		attempts = append(attempts, r.name)
+		rr, err := run(r.name, &r.place)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, attempts, ctx.Err()
@@ -340,12 +366,9 @@ func routeWithLadder(ctx context.Context, pr *place.Result, opts Options, o *obs
 	return best, attempts, nil
 }
 
-// describeRoute names a routing attempt for the attempts report, e.g.
-// "route[line-expansion]" or "route[lee-bends+rip-up]".
+// describeRoute names the base routing attempt for the attempts
+// report, e.g. "route[line-expansion]".
 func describeRoute(o route.Options) string {
-	if o.RipUp {
-		return "route[" + o.Algorithm.String() + "+rip-up]"
-	}
 	return "route[" + o.Algorithm.String() + "]"
 }
 

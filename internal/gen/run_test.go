@@ -3,11 +3,13 @@ package gen
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"netart/internal/obs"
+	"netart/internal/place"
 	"netart/internal/resilience"
 	"netart/internal/route"
 	"netart/internal/workload"
@@ -37,9 +39,9 @@ func TestRunReportAndTrace(t *testing.T) {
 		t.Fatalf("search stats empty: %+v", rep.Search)
 	}
 
-	td := rep.Trace
+	td := o.Snapshot()
 	if td == nil || td.TraceID == "" {
-		t.Fatal("report carries no trace")
+		t.Fatal("observer recorded no trace")
 	}
 	place := td.Find("place")
 	if place == nil || place.Outcome != obs.OutcomeOK {
@@ -63,9 +65,6 @@ func TestRunNilObserver(t *testing.T) {
 	rep, err := Run(context.Background(), workload.Datapath16(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if rep.Trace != nil {
-		t.Fatal("nil observer produced a trace")
 	}
 	if rep.Diagram == nil {
 		t.Fatal("no diagram")
@@ -111,18 +110,47 @@ func TestRunOnPlacement(t *testing.T) {
 	}
 }
 
-// TestRunDegradedOutcomeInTrace forces every wavefront to fail and
-// asserts the best-effort ladder marks the route span degraded with
-// one attempt child per rung.
-func TestRunDegradedOutcomeInTrace(t *testing.T) {
+// paperRungs names the ladder's rungs for the paper placer, in order.
+var paperRungs = []string{"place[part-spacing+1]", "place[spacing+1]", "place[spacing+2]"}
+
+// failEverySearch returns an injector that fails every wavefront search,
+// so every attempt leaves nets unrouted and a climb runs the whole
+// ladder.
+func failEverySearch(t *testing.T) *resilience.Injector {
+	t.Helper()
 	inj, err := resilience.ParseSpec("route.wavefront:error:1", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return inj
+}
+
+// attemptSpans returns the config names and outcomes of the
+// route.attempt spans of a recorded run.
+func attemptSpans(t *testing.T, o *obs.Observer) (configs, outcomes []string) {
+	t.Helper()
+	rt := o.Snapshot().Find("route")
+	if rt == nil {
+		t.Fatal("no route span")
+	}
+	for _, sp := range rt.Children {
+		if sp.Stage == "route.attempt" {
+			config, _ := sp.Attrs["config"].(string)
+			configs = append(configs, config)
+			outcomes = append(outcomes, sp.Outcome)
+		}
+	}
+	return configs, outcomes
+}
+
+// TestRunDegradedOutcomeInTrace forces every wavefront to fail and
+// asserts the best-effort ladder marks the route span degraded with
+// one attempt child per rung, and names the base and every rung.
+func TestRunDegradedOutcomeInTrace(t *testing.T) {
 	o := obs.NewObserver(nil, "generate")
 	opts := DefaultOptions()
 	opts.Observer = o
-	opts.Inject = inj
+	opts.Inject = failEverySearch(t)
 	opts.Degrade = DegradeBestEffort
 	rep, err := Run(context.Background(), workload.Datapath16(), opts)
 	if err != nil {
@@ -131,58 +159,174 @@ func TestRunDegradedOutcomeInTrace(t *testing.T) {
 	if rep.Degraded == nil || rep.Diagram.Degraded == nil {
 		t.Fatal("forced failure did not degrade")
 	}
-	if len(rep.Attempts) != 3 {
-		t.Fatalf("attempts = %v, want base + 2 ladder rungs", rep.Attempts)
+	want := append([]string{"route[line-expansion]"}, paperRungs...)
+	if !reflect.DeepEqual(rep.Attempts, want) || !reflect.DeepEqual(rep.Degraded.Attempts, want) {
+		t.Fatalf("attempts = %v, degradation block names %v, want %v", rep.Attempts, rep.Degraded.Attempts, want)
 	}
-	rt := rep.Trace.Find("route")
-	if rt.Outcome != obs.OutcomeDegraded {
+	if rt := o.Snapshot().Find("route"); rt.Outcome != obs.OutcomeDegraded {
 		t.Fatalf("route span outcome = %q, want degraded", rt.Outcome)
 	}
-	if len(rt.Children) != 3 {
-		t.Fatalf("route attempt children = %d, want 3", len(rt.Children))
+	if configs, _ := attemptSpans(t, o); !reflect.DeepEqual(configs, want) {
+		t.Fatalf("route attempt children %v, want %v", configs, want)
 	}
 }
 
-// TestLadderRungs pins the escalation sequence for every base router:
-// line expansion with rip-up, then Lee with rip-up, each skipped when
-// it is the base configuration itself. A rung changes only the router
-// and the rip-up pass; every other base option carries over. Attempts
-// are named by describeRoute.
+// TestLadderRungs pins the escalation sequence. Every rung re-places
+// with wider white space and routes with the request's own router, so
+// whatever the base router, a climb names it once and then the rungs:
+// for the paper placer partition spacing +1, then every spacing +1,
+// then every spacing +2. A baseline placer reads only the module
+// spacing, so it skips the partition-only rung.
 func TestLadderRungs(t *testing.T) {
-	const lineRipUp, leeRipUp = "route[line-expansion+rip-up]", "route[lee-bends+rip-up]"
-	for _, tc := range []struct {
-		algo  route.Algo
-		ripUp bool
-		base  string
-		rungs []string
-	}{
-		{route.AlgoLineExpansion, false, "route[line-expansion]", []string{lineRipUp, leeRipUp}},
-		{route.AlgoLineExpansion, true, lineRipUp, []string{leeRipUp}},
-		{route.AlgoLee, false, "route[lee-bends]", []string{lineRipUp, leeRipUp}},
-		{route.AlgoLee, true, leeRipUp, []string{lineRipUp}},
-		{route.AlgoLeeLength, false, "route[lee-length]", []string{lineRipUp, leeRipUp}},
-		{route.AlgoHightower, false, "route[hightower]", []string{lineRipUp, leeRipUp}},
-	} {
-		base := route.Options{Algorithm: tc.algo, RipUp: tc.ripUp, Claimpoints: true,
-			SwapObjective: true, OrderShortestFirst: true, Margin: 2}
-		t.Run(tc.base, func(t *testing.T) {
-			if got := describeRoute(base); got != tc.base {
-				t.Errorf("base named %q, want %q", got, tc.base)
-			}
-			rungs := ladderRungs(base)
-			var names []string
-			for _, r := range rungs {
-				names = append(names, describeRoute(r))
-				want := base
-				want.Algorithm, want.RipUp = r.Algorithm, true
-				if !reflect.DeepEqual(r, want) {
-					t.Errorf("rung %s = %+v, want the base with only router and rip-up changed", describeRoute(r), r)
+	base := place.Options{PartSize: 6, BoxSize: 6, PartSpacing: 1, BoxSpacing: 2, ModSpacing: 3}
+	var got [][3]int
+	for _, r := range ladderRungs(PlacePaper, base) {
+		got = append(got, [3]int{r.place.PartSpacing, r.place.BoxSpacing, r.place.ModSpacing})
+		if r.place.PartSize != base.PartSize || r.place.BoxSize != base.BoxSize {
+			t.Errorf("rung %s changes more than spacing: %+v", r.name, r.place)
+		}
+	}
+	if want := [][3]int{{2, 2, 3}, {2, 3, 4}, {3, 4, 5}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("rung spacings (partition, box, module) %v, want %v", got, want)
+	}
+
+	inj := failEverySearch(t)
+	for _, algo := range []route.Algo{route.AlgoLineExpansion, route.AlgoLee, route.AlgoLeeLength, route.AlgoHightower} {
+		name := describeRoute(route.Options{Algorithm: algo})
+		t.Run(name, func(t *testing.T) {
+			for _, tc := range []struct {
+				placer Placer
+				rungs  []string
+			}{
+				{PlacePaper, paperRungs},
+				{PlaceMinCut, paperRungs[1:]},
+			} {
+				rep, err := Run(context.Background(), workload.Fig61(), Options{
+					Placer: tc.placer, Place: base, Degrade: DegradeBestEffort, Inject: inj,
+					Route: route.Options{Algorithm: algo, Claimpoints: true},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := append([]string{name}, tc.rungs...); !reflect.DeepEqual(rep.Attempts, want) {
+					t.Errorf("%s placer climbs %v, want %v", tc.placer, rep.Attempts, want)
 				}
 			}
-			if !reflect.DeepEqual(names, tc.rungs) {
-				t.Errorf("rungs %v, want %v", names, tc.rungs)
+		})
+	}
+}
+
+// TestLadderCompletesDesignOrderFigures pins the ladder on the two §6
+// figures that design order leaves incomplete: figure 6.5 (controller
+// pinned top-left) and figure 6.7 (LIFE, obs7 stranded). Best-effort
+// completes each on its first rung, partition spacing +1, and the
+// pinned controller keeps its hand position.
+func TestLadderCompletesDesignOrderFigures(t *testing.T) {
+	for _, e := range Experiments() {
+		if e.ID != "6.5" && e.ID != "6.7" {
+			continue
+		}
+		t.Run(e.ID, func(t *testing.T) {
+			if e.Options.Route.OrderShortestFirst {
+				t.Fatal("the figure no longer routes in design order")
+			}
+			base, _, err := RunExperiment(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if base.Unrouted == 0 {
+				t.Fatal("the base routing completes: nothing for the ladder to pin")
+			}
+			o := obs.NewObserver(nil, "generate")
+			e.Options.Observer = o
+			e.Options.Degrade = DegradeBestEffort
+			row, dg, err := RunExperiment(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row.Unrouted != 0 || dg.Degraded != nil {
+				t.Fatalf("%d nets left after the ladder, degraded %+v", row.Unrouted, dg.Degraded)
+			}
+			configs, _ := attemptSpans(t, o)
+			if want := []string{"route[line-expansion]", paperRungs[0]}; !reflect.DeepEqual(configs, want) {
+				t.Fatalf("attempts %v, want %v", configs, want)
+			}
+			if e.Hand == nil {
+				return
+			}
+			for name, hp := range e.Hand() {
+				pm := dg.Placement.Mods[dg.Design.Module(name)]
+				if pm.Pos != hp.Pos || pm.Orient != hp.Orient {
+					t.Errorf("pinned %s moved to %v %v, want %v %v", name, pm.Pos, pm.Orient, hp.Pos, hp.Orient)
+				}
 			}
 		})
+	}
+}
+
+// TestLadderRungOverAreaCapFails caps the plane at the base routing's
+// own area: every wider re-placement exceeds it, so every rung fails
+// soft, the climb still names them all, and the base result ships.
+func TestLadderRungOverAreaCapFails(t *testing.T) {
+	plain, err := Run(context.Background(), workload.Datapath16(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := plain.Routing.Plane.Bounds
+	o := obs.NewObserver(nil, "generate")
+	opts := DefaultOptions()
+	opts.Observer = o
+	opts.Inject = failEverySearch(t)
+	opts.Degrade = DegradeBestEffort
+	opts.Route.MaxPlaneArea = (b.Max.X - b.Min.X + 1) * (b.Max.Y - b.Min.Y + 1)
+	rep, err := Run(context.Background(), workload.Datapath16(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]string{"route[line-expansion]"}, paperRungs...)
+	if !reflect.DeepEqual(rep.Attempts, want) || rep.Degraded == nil {
+		t.Fatalf("attempts %v (degraded %v), want %v", rep.Attempts, rep.Degraded != nil, want)
+	}
+	if rep.Routing.Plane.Bounds != b {
+		t.Errorf("shipped plane %v, want the base's %v", rep.Routing.Plane.Bounds, b)
+	}
+	_, outcomes := attemptSpans(t, o)
+	if wantOut := []string{obs.OutcomeOK, obs.OutcomeError, obs.OutcomeError, obs.OutcomeError}; !reflect.DeepEqual(outcomes, wantOut) {
+		t.Errorf("attempt outcomes %v, want %v", outcomes, wantOut)
+	}
+}
+
+// TestLadderOverSuppliedPlacement: a caller-supplied placement (the
+// EUREKA half) cannot be re-placed, so escalate refuses after the base
+// attempt alone and best-effort ships the base result over the given
+// placement.
+func TestLadderOverSuppliedPlacement(t *testing.T) {
+	opts := DefaultOptions()
+	opts.StopAfterPlace = true
+	placed, err := Run(context.Background(), workload.Datapath16(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts = DefaultOptions()
+	opts.Placement = placed.Placement
+	opts.Inject = failEverySearch(t)
+	base := []string{"route[line-expansion]"}
+
+	opts.Degrade = DegradeEscalate
+	_, err = Run(context.Background(), nil, opts)
+	var ue *UnroutableError
+	if !errors.As(err, &ue) || !reflect.DeepEqual(ue.Attempts, base) {
+		t.Fatalf("escalate over a given placement: %v, want an UnroutableError after %v", err, base)
+	}
+
+	opts.Degrade = DegradeBestEffort
+	rep, err := Run(context.Background(), nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.Attempts, base) || rep.Degraded == nil || rep.Placement != placed.Placement {
+		t.Fatalf("best-effort over a given placement: attempts %v, degraded %v, own placement %v",
+			rep.Attempts, rep.Degraded != nil, rep.Placement == placed.Placement)
 	}
 }
 

@@ -16,9 +16,8 @@
 // hang directly off the root in execution order — parse, place, route,
 // render — and every escalation rung of the degradation ladder is a
 // child of route named "route.attempt". Spans carry integer/string
-// attributes (partitions, boxes, wavefront searches, rip-up attempts,
-// …), a wall-clock duration, and an outcome: ok, error, panic, or
-// degraded.
+// attributes (partitions, boxes, wavefront searches, attempts, …), a
+// wall-clock duration, and an outcome: ok, error, panic, or degraded.
 package obs
 
 import (

@@ -22,7 +22,7 @@ func TestSpanTreeNesting(t *testing.T) {
 	att.SetAttrString("config", "line-expansion")
 	att.End()
 	att2 := o.StartSpan("route.attempt")
-	att2.SetAttrString("config", "lee+rip-up")
+	att2.SetAttrString("config", "place[spacing+1]")
 	att2.EndError(errors.New("boom"))
 	routeSp.SetAttr("searches", 42)
 	routeSp.End()

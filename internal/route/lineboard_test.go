@@ -438,8 +438,8 @@ func FuzzLineSweep(f *testing.F) {
 // TestSearchNeverMeetsOwnClaim pins the invariant that lets the escape
 // scan treat every claimpoint as a stop: when a search runs, its own
 // net holds no live claim (routeNet released them before its first
-// search), and once the main pass is over — the retry and rip-up
-// passes — no claim is live at all.
+// search), and once the main pass is over — in the retry pass — no
+// claim is live at all.
 func TestSearchNeverMeetsOwnClaim(t *testing.T) {
 	designs := slices.Clone(builtinCases)
 	for seed := int64(0); seed < 20; seed++ {
@@ -459,7 +459,7 @@ func TestSearchNeverMeetsOwnClaim(t *testing.T) {
 				t.Fatalf("%s: net %d searches with its own claim live at plane index %d", tag, id, i)
 			}
 			if id != 0 && mainDone {
-				t.Fatalf("%s: claim of net %d live in the retry/rip-up passes", tag, id)
+				t.Fatalf("%s: claim of net %d live in the retry pass", tag, id)
 			}
 		}
 		if mainDone {
@@ -474,12 +474,12 @@ func TestSearchNeverMeetsOwnClaim(t *testing.T) {
 		}
 		for _, ord := range batteryOrders {
 			tag, mainDone = d.name+"/"+ord.name, false
-			ro := Options{Claimpoints: true, RipUp: true, OrderShortestFirst: ord.shortest,
+			ro := Options{Claimpoints: true, OrderShortestFirst: ord.shortest,
 				OnCommit: func(idx, total int, _ *RoutedNet) { mainDone = idx == total-1 }}
 			routeFresh(t, d.build, d.po, ro)
 		}
 	}
 	if searches == 0 || late == 0 {
-		t.Fatalf("vacuous: %d searches, %d in the retry/rip-up passes", searches, late)
+		t.Fatalf("vacuous: %d searches, %d in the retry pass", searches, late)
 	}
 }

@@ -93,7 +93,6 @@ type SearchStats struct {
 	Actives  int `json:"actives"`   // active segments expanded
 	Cells    int `json:"cells"`     // cells visited, reach-probe and final-sweep visits included
 	MaxBends int `json:"max_bends"` // deepest wave that produced a solution
-	RipUps   int `json:"rip_ups"`   // failed nets the rip-up pass attempted to fix
 	// Widened is always 0: every search runs once, on the full plane.
 	// The field stays for the route_stats wire shape.
 	Widened int `json:"widened"`

@@ -161,8 +161,8 @@ func TestParallelMatchesSequentialWorkloads(t *testing.T) {
 
 // TestParallelMatchesSequentialOptionMatrix runs the battery under
 // every router feature that interacts with the plane state: claimpoint
-// release, shortest-first ordering, the rip-up pass, the objective
-// swap and the Lee baseline.
+// release, shortest-first ordering, the objective swap and the Lee
+// baseline.
 func TestParallelMatchesSequentialOptionMatrix(t *testing.T) {
 	variants := []struct {
 		name string
@@ -171,7 +171,6 @@ func TestParallelMatchesSequentialOptionMatrix(t *testing.T) {
 		{"plain", Options{}},
 		{"claims", Options{Claimpoints: true}},
 		{"shortest", Options{Claimpoints: true, OrderShortestFirst: true}},
-		{"ripup", Options{Claimpoints: true, RipUp: true}},
 		{"swap", Options{Claimpoints: true, SwapObjective: true}},
 		{"lee", Options{Claimpoints: true, Algorithm: AlgoLee}},
 	}

@@ -45,10 +45,6 @@ type Options struct {
 	// 222 LIFE nets where design order strands obs7); the paper's
 	// design order stays available behind -route-order=design.
 	OrderShortestFirst bool
-	// RipUp enables a final rip-up-and-reroute pass (extension beyond
-	// the paper): each still-failed net may displace one nearby routed
-	// net, keeping the exchange only when both complete.
-	RipUp bool
 	// Algorithm selects the search engine. The default is the paper's
 	// line-expansion router; the baselines of §5.2 are available for
 	// the comparison benches.
@@ -69,11 +65,10 @@ type Options struct {
 	// routing pass, right after the net loop has laid its wires, in the
 	// routing order (routeOrder). idx is the net's position in that
 	// order, total the number of nets in the pass, and rn the net's
-	// outcome at that point. The retry and rip-up passes may later
-	// improve a net reported failed here; the returned Result holds the
-	// authoritative final geometry. The callback runs on the routing
-	// goroutine: it must not block for long and must not mutate routing
-	// state.
+	// outcome at that point. The retry pass may later improve a net
+	// reported failed here; the returned Result holds the authoritative
+	// final geometry. The callback runs on the routing goroutine: it
+	// must not block for long and must not mutate routing state.
 	OnCommit func(idx, total int, rn *RoutedNet)
 }
 
@@ -206,9 +201,9 @@ func Route(pr *place.Result, opts Options) (*Result, error) {
 // RouteCtx runs the routing phase over a placement with cancellation:
 // the deadline or cancel signal of ctx is polled inside the wavefront
 // loops of every search engine (the hottest paths), between nets, and
-// between the retry/rip-up passes, so a cancelled route returns within
-// a bounded amount of residual work. On cancellation the partial result
-// is discarded and ctx.Err() is returned.
+// before the retry pass, so a cancelled route returns within a bounded
+// amount of residual work. On cancellation the partial result is
+// discarded and ctx.Err() is returned.
 func RouteCtx(ctx context.Context, pr *place.Result, opts Options) (*Result, error) {
 	rt := &router{
 		pl:     pr,
@@ -235,10 +230,6 @@ func RouteCtx(ctx context.Context, pr *place.Result, opts Options) (*Result, err
 	rt.routeAll()
 	if !opts.NoRetry && !rt.cancel.poll() {
 		rt.retryFailed()
-	}
-	if opts.RipUp && !rt.cancel.poll() {
-		rt.plane.ReleaseAllClaims()
-		rt.ripUpPass(4)
 	}
 	if rt.cancel.poll() {
 		return nil, ctx.Err()

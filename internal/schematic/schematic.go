@@ -36,8 +36,8 @@ type Diagram struct {
 // them per figure).
 type Degradation struct {
 	// Attempts names the degradation-ladder rungs that were tried, in
-	// order (e.g. "route[line-expansion]",
-	// "route[line-expansion+rip-up]", "route[lee-bends+rip-up]").
+	// order (e.g. "route[line-expansion]", "place[part-spacing+1]",
+	// "place[spacing+1]", "place[spacing+2]").
 	Attempts []string
 	// Unrouted lists the incomplete nets as "net: term1 term2 ..."
 	// (the terminals that stayed unconnected).

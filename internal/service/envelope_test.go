@@ -2,7 +2,10 @@ package service
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -98,6 +101,8 @@ func TestErrorEnvelope(t *testing.T) {
 			`{"workload":"fig61","options":{"route_workers":2}}`, 400},
 		{"retired dual_front", http.MethodPost, "/v2/generate",
 			`{"workload":"fig61","options":{"dual_front":true}}`, 400},
+		{"retired rip_up", http.MethodPost, "/v2/generate",
+			`{"workload":"fig61","options":{"rip_up":true}}`, 400},
 		{"negative mod_spacing", http.MethodPost, "/v2/generate",
 			`{"workload":"datapath","options":{"mod_spacing":-2}}`, 400},
 		{"negative box_spacing", http.MethodPost, "/v2/generate",
@@ -108,6 +113,21 @@ func TestErrorEnvelope(t *testing.T) {
 			`{"workload":"datapath","options":{"mod_spacing":-2}}`, 400},
 		{"negative part_spacing job", http.MethodPost, "/v2/jobs",
 			`{"workload":"fig61","options":{"part_spacing":-1}}`, 400},
+		// A spacing or margin whose square exceeds the plane-area cap
+		// is refused before the queue. These three once overflowed the
+		// plane bounds past the router's area guard and panicked (500).
+		{"part_spacing 2^40", http.MethodPost, "/v2/generate",
+			`{"workload":"fig61","options":{"part_spacing":1099511627776}}`, 422},
+		{"margin 2^61", http.MethodPost, "/v2/generate",
+			`{"workload":"fig61","options":{"margin":2305843009213693952}}`, 422},
+		{"margin 2^62", http.MethodPost, "/v2/generate",
+			`{"workload":"fig61","options":{"margin":4611686018427387904}}`, 422},
+		{"part_spacing 2^40 job", http.MethodPost, "/v2/jobs",
+			`{"workload":"fig61","options":{"part_spacing":1099511627776}}`, 422},
+		{"margin 2^61 job", http.MethodPost, "/v2/jobs",
+			`{"workload":"fig61","options":{"margin":2305843009213693952}}`, 422},
+		{"margin 2^62 job", http.MethodPost, "/v2/jobs",
+			`{"workload":"fig61","options":{"margin":4611686018427387904}}`, 422},
 		{"unknown workload", http.MethodPost, "/v1/generate", `{"workload":"warp"}`, 400},
 		{"bad placer", http.MethodPost, "/v2/jobs",
 			`{"workload":"fig61","options":{"placer":"magic"}}`, 400},
@@ -127,6 +147,28 @@ func TestErrorEnvelope(t *testing.T) {
 				t.Error("405 without an Allow header")
 			}
 		})
+	}
+}
+
+// TestWideSpacingRefusedCheaply: a partition spacing whose square
+// exceeds the plane-area cap is refused before placement builds any
+// geometry. Datapath at 262144 used to allocate about 428 MB, nearly
+// all of it the placer's terminal ring around the module bounds,
+// before the router's area guard answered 422.
+func TestWideSpacingRefusedCheaply(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	req := &Request{Workload: "datapath", Options: GenOptions{PartSpacing: 262144}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := s.GenerateV2(context.Background(), req)
+	runtime.ReadMemStats(&after)
+	var se *svcError
+	if !errors.As(err, &se) || se.status != http.StatusUnprocessableEntity {
+		t.Fatalf("part_spacing 262144: %v, want a 422", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 428e6/10 {
+		t.Errorf("refusal allocated %d bytes, want under a tenth of 428 MB", got)
 	}
 }
 

@@ -179,6 +179,14 @@ func TestFleetChaosBattery(t *testing.T) {
 			}
 		}(g)
 	}
+	// Cleanups run last in, first out, so this one stops the traffic
+	// before startFleet's closes the servers: a t.Fatal below then
+	// reports its own failure, not a cascade of "pool closed" errors.
+	stopTraffic := sync.OnceFunc(func() {
+		close(stop)
+		traffic.Wait()
+	})
+	t.Cleanup(stopTraffic)
 
 	// Episode 1: blackhole the victim (packets dropped, TCP hangs).
 	plan.Blackhole(victim.url)
@@ -260,8 +268,7 @@ func TestFleetChaosBattery(t *testing.T) {
 		t.Fatal("fleet never fully re-converged after the last restore")
 	}
 
-	close(stop)
-	traffic.Wait()
+	stopTraffic()
 	if served.Load() < 20 {
 		t.Errorf("only %d traffic requests completed during the run", served.Load())
 	}

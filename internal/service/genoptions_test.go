@@ -79,7 +79,6 @@ func TestGenOptionsJSONTagTable(t *testing.T) {
 		"NoClaimpoints":  "no_claimpoints",
 		"SwapObjective":  "swap_objective",
 		"RouteOrder":     "route_order",
-		"RipUp":          "rip_up",
 		"Margin":         "margin",
 		"DegradeMode":    "degrade_mode",
 	}

@@ -522,6 +522,47 @@ func TestJobSSEResume(t *testing.T) {
 	}
 }
 
+// TestJobLadderStreamsPlacement: a degradation-ladder rung re-places,
+// so the stream sends its placement before the rung's attempt opens and
+// a client never draws a rung's nets over the previous geometry. Every
+// wavefront search fails, so the climb runs every rung.
+func TestJobLadderStreamsPlacement(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, Inject: mustInjector(t, "route.wavefront:error:1", 7)})
+	resp, body := postJSON(t, ts.URL+"/v2/jobs", Request{Workload: "datapath",
+		Options: GenOptions{DegradeMode: "best-effort"}})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, body)
+	}
+	var sub SubmitResponse
+	decode(t, body, &sub)
+
+	var seq []string
+	var areas []int
+	for _, f := range readSSE(t, ts.URL+sub.StreamURL, "") {
+		switch f.event {
+		case "placement":
+			var pl jobPlacement
+			decode(t, []byte(f.data), &pl)
+			seq = append(seq, "placement")
+			areas = append(areas, (pl.Bounds[2]-pl.Bounds[0])*(pl.Bounds[3]-pl.Bounds[1]))
+		case "attempt":
+			var at jobAttempt
+			decode(t, []byte(f.data), &at)
+			seq = append(seq, at.Name)
+		}
+	}
+	want := []string{"placement", "route[line-expansion]", "placement", "place[part-spacing+1]",
+		"placement", "place[spacing+1]", "placement", "place[spacing+2]"}
+	if strings.Join(seq, ",") != strings.Join(want, ",") {
+		t.Fatalf("placement/attempt sequence %v, want %v", seq, want)
+	}
+	for i := 1; i < len(areas); i++ {
+		if areas[i] <= areas[i-1] {
+			t.Errorf("placement %d spans %d points, not wider than the %d before it", i, areas[i], areas[i-1])
+		}
+	}
+}
+
 // TestJobRestartServedFromStore: a job result written through the
 // disk store survives a restart — resubmitting the same request to a
 // fresh server answers from the store, byte-identical and without

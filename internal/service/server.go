@@ -528,6 +528,23 @@ func (s *Server) preGuard(req *Request) error {
 			return unprocessable("net-list records (%d lines) exceed net limit %d", lines, s.cfg.MaxNets)
 		}
 	}
+	// A spacing or margin s lays s tracks on every side of what it
+	// surrounds, so wherever a design feels it the plane exceeds s·s
+	// points. With s·s over the area cap, refuse it here (even where a
+	// design leaves it unused, as one partition does the partition
+	// spacing): placement would build geometry that big first, and the
+	// plane bounds can overflow past the router's own area guard.
+	if limit := s.cfg.MaxPlaneArea; limit > 0 {
+		o := req.Options
+		for _, sp := range []struct {
+			name string
+			v    int
+		}{{"part_spacing", o.PartSpacing}, {"box_spacing", o.BoxSpacing}, {"mod_spacing", o.ModSpacing}, {"margin", o.Margin}} {
+			if sp.v > 0 && sp.v > limit/sp.v {
+				return unprocessable("%s %d squared exceeds the plane-area limit %d", sp.name, sp.v, limit)
+			}
+		}
+	}
 	return nil
 }
 

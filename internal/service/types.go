@@ -71,7 +71,6 @@ type GenOptions struct {
 	// increasing estimated length, the §7 extension) or "design" (the
 	// paper's order). Replaces the former shortest_first boolean.
 	RouteOrder string `json:"route_order,omitempty"`
-	RipUp      bool   `json:"rip_up,omitempty"`
 	Margin     int    `json:"margin,omitempty"`
 
 	// DegradeMode selects the failure policy for incomplete routings:
@@ -94,7 +93,6 @@ func (o GenOptions) resolve() (gen.Options, error) {
 		Route: route.Options{
 			Claimpoints:   !o.NoClaimpoints,
 			SwapObjective: o.SwapObjective,
-			RipUp:         o.RipUp,
 			Margin:        o.Margin,
 		},
 	}
@@ -161,9 +159,9 @@ func (o GenOptions) canonical(degrade gen.DegradeMode) string {
 	fmt.Fprintf(&b, "placer=%s part=%d box=%d conn=%d", orDefault(o.Placer, "paper"),
 		orDefaultInt(o.PartSize, 7), orDefaultInt(o.BoxSize, 5), o.MaxConnections)
 	fmt.Fprintf(&b, " pspc=%d bspc=%d mspc=%d", o.PartSpacing, o.BoxSpacing, o.ModSpacing)
-	fmt.Fprintf(&b, " algo=%s claims=%t swap=%t order=%s ripup=%t margin=%d",
+	fmt.Fprintf(&b, " algo=%s claims=%t swap=%t order=%s margin=%d",
 		orDefault(o.Algorithm, "line-expansion"), !o.NoClaimpoints, o.SwapObjective,
-		orDefault(o.RouteOrder, "shortest"), o.RipUp, o.Margin)
+		orDefault(o.RouteOrder, "shortest"), o.Margin)
 	fmt.Fprintf(&b, " degrade=%s", degrade)
 	return b.String()
 }
