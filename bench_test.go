@@ -478,6 +478,57 @@ func BenchmarkServiceGenerate(b *testing.B) {
 			}
 		}
 	})
+
+	// warm-http-svg serves a real diagram from the store: an inline
+	// Random(40) SVG request through Handler() and POST /v2/generate,
+	// so a hit pays for decoding the stored value and encoding the
+	// artwork. The client only reads the body, so ns/op and B/op are
+	// the server's hit path plus the loopback round trip.
+	b.Run("warm-http-svg", func(b *testing.B) {
+		s := service.New(service.Config{Workers: 2, CacheEntries: 64})
+		defer s.Close()
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		d := workload.Random(40, 1)
+		var calls, nets, ios bytes.Buffer
+		for _, err := range []error{
+			netlist.WriteCallFile(&calls, d),
+			netlist.WriteNetListFile(&nets, d),
+			netlist.WriteIOFile(&ios, d),
+		} {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		body, err := json.Marshal(service.Request{Name: d.Name, Calls: calls.String(),
+			Netlist: nets.String(), IO: ios.String(), Format: service.FormatSVG})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var out bytes.Buffer // reused, so the client allocates little
+		post := func() {
+			r, err := http.Post(ts.URL+"/v2/generate", "application/json", bytes.NewReader(body))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer r.Body.Close()
+			out.Reset()
+			if _, err := out.ReadFrom(r.Body); err != nil || r.StatusCode != http.StatusOK {
+				b.Fatalf("status %d, read error %v", r.StatusCode, err)
+			}
+		}
+		post() // prime
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			post()
+		}
+		b.StopTimer()
+		if hits := s.Stats().Cache.Hits; hits != uint64(b.N) {
+			b.Fatalf("%d store hits for %d warm requests", hits, b.N)
+		}
+		b.ReportMetric(float64(out.Len())/1024, "resp-KB")
+	})
 }
 
 // ladderCase is one design of the degradation-ladder corpus with the

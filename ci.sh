@@ -8,8 +8,9 @@
 #                      golden-corpus check, + a coverage floor on the
 #                      placement packages, + 5s fuzz smokes of the
 #                      Appendix-A netlist parser, the router's search
-#                      sequence, the word-level escape sweep and the
-#                      placement reference battery,
+#                      sequence, the word-level escape sweep, the
+#                      placement reference battery and the result
+#                      store's value decoder,
 #                      + the observability allocation
 #                      guard, + the store-tier -race battery (LRU /
 #                      disk / singleflight / fleet), + the fleet chaos
@@ -112,12 +113,14 @@ echo "$COV_OUT" | awk '
 # Fuzz smoke: short bounded runs of the netlist parser fuzz target, of
 # the router's full-plane search sequence (reference-loop parity,
 # arena reuse), of the word-level escape sweep
-# and probe against the per-cell reference loop, and of the placer
-# against its map-based reference. Regressions show up as crashers
-# within seconds; the long exploratory runs stay a manual job
-# (go test -fuzz=FuzzParseDesign ./internal/netlist,
-# -fuzz=FuzzSearchJournal or -fuzz=FuzzLineSweep ./internal/route,
-# -fuzz=FuzzPlaceReference ./internal/place).
+# and probe against the per-cell reference loop, of the placer
+# against its map-based reference, and of the service's stored-value
+# decoder (no panic on any bytes, round trip of what decodes).
+# Regressions show up as crashers within seconds; the long exploratory
+# runs stay a manual job (go test -fuzz=FuzzParseDesign
+# ./internal/netlist, -fuzz=FuzzSearchJournal or -fuzz=FuzzLineSweep
+# ./internal/route, -fuzz=FuzzPlaceReference ./internal/place,
+# -fuzz=FuzzStoredValue ./internal/service).
 echo "== go test -fuzz=FuzzParseDesign -fuzztime=5s ./internal/netlist"
 go test -run='^$' -fuzz=FuzzParseDesign -fuzztime=5s ./internal/netlist
 echo "== go test -fuzz=FuzzSearchJournal -fuzztime=5s ./internal/route"
@@ -126,6 +129,8 @@ echo "== go test -fuzz=FuzzLineSweep -fuzztime=5s ./internal/route"
 go test -run='^$' -fuzz=FuzzLineSweep -fuzztime=5s ./internal/route
 echo "== go test -fuzz=FuzzPlaceReference -fuzztime=5s ./internal/place"
 go test -run='^$' -fuzz=FuzzPlaceReference -fuzztime=5s ./internal/place
+echo "== go test -fuzz=FuzzStoredValue -fuzztime=5s ./internal/service"
+go test -run='^$' -fuzz=FuzzStoredValue -fuzztime=5s ./internal/service
 
 # Allocation guard: the disabled observer / metric paths must stay
 # allocation-free, or every un-traced request pays for observability it

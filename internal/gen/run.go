@@ -260,9 +260,13 @@ type rung struct {
 // tracks and routes with the request's own router: partition spacing
 // +1 (-e), then every spacing +1 (-e -i -s), then every spacing +2.
 // Pinned modules (place.Options.Fixed) keep their positions. The
-// baseline placers read only the module spacing, so they skip the
-// partition-only rung, which they cannot feel.
-func ladderRungs(placer Placer, base place.Options) []rung {
+// partition-only rung is skipped where it cannot change the outcome:
+// the baseline placers read only the module spacing, and a paper
+// placement of one partition with nothing pinned only moves by (1,1)
+// under it, so the router would see the same plane shifted. With
+// pinned modules the free partition moves against the pins, so that
+// case keeps the rung. parts is the base placement's partition count.
+func ladderRungs(placer Placer, base place.Options, parts int) []rung {
 	widen := func(name string, part, all int) rung {
 		po := base
 		po.PartSpacing += part + all
@@ -271,7 +275,7 @@ func ladderRungs(placer Placer, base place.Options) []rung {
 		return rung{name, po}
 	}
 	var rungs []rung
-	if placer == PlacePaper {
+	if placer == PlacePaper && (parts > 1 || len(base.Fixed) > 0) {
 		rungs = append(rungs, widen("place[part-spacing+1]", 1, 0))
 	}
 	return append(rungs, widen("place[spacing+1]", 0, 1), widen("place[spacing+2]", 0, 2))
@@ -344,7 +348,7 @@ func routeWithLadder(ctx context.Context, d *netlist.Design, pr *place.Result, o
 		return best, attempts, nil
 	}
 
-	for _, r := range ladderRungs(opts.Placer, opts.Place) {
+	for _, r := range ladderRungs(opts.Placer, opts.Place, len(pr.Parts)) {
 		if ctx.Err() != nil {
 			return nil, attempts, ctx.Err()
 		}

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"netart/internal/geom"
+	"netart/internal/netlist"
 	"netart/internal/obs"
 	"netart/internal/place"
 	"netart/internal/resilience"
@@ -174,13 +176,15 @@ func TestRunDegradedOutcomeInTrace(t *testing.T) {
 // TestLadderRungs pins the escalation sequence. Every rung re-places
 // with wider white space and routes with the request's own router, so
 // whatever the base router, a climb names it once and then the rungs:
-// for the paper placer partition spacing +1, then every spacing +1,
-// then every spacing +2. A baseline placer reads only the module
-// spacing, so it skips the partition-only rung.
+// for the paper placer on a multi-partition design partition spacing
+// +1, then every spacing +1, then every spacing +2. A baseline placer
+// reads only the module spacing, and a one-partition paper placement
+// (fig61) only translates under partition spacing, so both skip the
+// partition-only rung.
 func TestLadderRungs(t *testing.T) {
 	base := place.Options{PartSize: 6, BoxSize: 6, PartSpacing: 1, BoxSpacing: 2, ModSpacing: 3}
 	var got [][3]int
-	for _, r := range ladderRungs(PlacePaper, base) {
+	for _, r := range ladderRungs(PlacePaper, base, 2) {
 		got = append(got, [3]int{r.place.PartSpacing, r.place.BoxSpacing, r.place.ModSpacing})
 		if r.place.PartSize != base.PartSize || r.place.BoxSize != base.BoxSize {
 			t.Errorf("rung %s changes more than spacing: %+v", r.name, r.place)
@@ -189,19 +193,34 @@ func TestLadderRungs(t *testing.T) {
 	if want := [][3]int{{2, 2, 3}, {2, 3, 4}, {3, 4, 5}}; !reflect.DeepEqual(got, want) {
 		t.Errorf("rung spacings (partition, box, module) %v, want %v", got, want)
 	}
+	for _, tc := range []struct {
+		d     *netlist.Design
+		parts int
+	}{{workload.Datapath16(), 5}, {workload.Fig61(), 1}} {
+		pr, err := place.Place(tc.d, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pr.Parts) != tc.parts {
+			t.Fatalf("%s places as %d partitions, want %d", tc.d.Name, len(pr.Parts), tc.parts)
+		}
+	}
 
 	inj := failEverySearch(t)
 	for _, algo := range []route.Algo{route.AlgoLineExpansion, route.AlgoLee, route.AlgoLeeLength, route.AlgoHightower} {
 		name := describeRoute(route.Options{Algorithm: algo})
 		t.Run(name, func(t *testing.T) {
 			for _, tc := range []struct {
+				build  func() *netlist.Design
 				placer Placer
 				rungs  []string
 			}{
-				{PlacePaper, paperRungs},
-				{PlaceMinCut, paperRungs[1:]},
+				{workload.Datapath16, PlacePaper, paperRungs},
+				{workload.Datapath16, PlaceMinCut, paperRungs[1:]},
+				{workload.Fig61, PlacePaper, paperRungs[1:]},
 			} {
-				rep, err := Run(context.Background(), workload.Fig61(), Options{
+				d := tc.build()
+				rep, err := Run(context.Background(), d, Options{
 					Placer: tc.placer, Place: base, Degrade: DegradeBestEffort, Inject: inj,
 					Route: route.Options{Algorithm: algo, Claimpoints: true},
 				})
@@ -209,10 +228,51 @@ func TestLadderRungs(t *testing.T) {
 					t.Fatal(err)
 				}
 				if want := append([]string{name}, tc.rungs...); !reflect.DeepEqual(rep.Attempts, want) {
-					t.Errorf("%s placer climbs %v, want %v", tc.placer, rep.Attempts, want)
+					t.Errorf("%s with the %s placer climbs %v, want %v", d.Name, tc.placer, rep.Attempts, want)
 				}
 			}
 		})
+	}
+}
+
+// TestPartSpacingTranslatesOnePartition is the premise for skipping
+// the partition-spacing rung: fig61 and quickstart each place as one
+// partition, and partition spacing +1 moves every module and system
+// terminal by exactly (1,1), orientations unchanged, so the router
+// would route a translated copy of the base. A placer change that
+// breaks this fails here, not as a silently wasted or skipped rung.
+func TestPartSpacingTranslatesOnePartition(t *testing.T) {
+	for _, build := range []func() *netlist.Design{workload.Fig61, workload.Quickstart} {
+		for spacing := 0; spacing <= 2; spacing++ {
+			po := place.Options{PartSize: 7, BoxSize: 5, PartSpacing: spacing}
+			d, dw := build(), build()
+			base, err := place.Place(d, po)
+			if err != nil {
+				t.Fatal(err)
+			}
+			po.PartSpacing++
+			wide, err := place.Place(dw, po)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(base.Parts) != 1 || len(wide.Parts) != 1 {
+				t.Fatalf("%s at partition spacing %d: %d and %d partitions, want 1", d.Name, spacing, len(base.Parts), len(wide.Parts))
+			}
+			shift := geom.Pt(1, 1)
+			for i, m := range d.Modules {
+				bm, wm := base.Mods[m], wide.Mods[dw.Modules[i]]
+				if wm.Pos != bm.Pos.Add(shift) || wm.Orient != bm.Orient {
+					t.Errorf("%s at partition spacing %d: module %s at %v %v, then %v %v; want a (1,1) shift",
+						d.Name, spacing, m.Name, bm.Pos, bm.Orient, wm.Pos, wm.Orient)
+				}
+			}
+			for i, st := range d.SysTerms {
+				if bp, wp := base.SysPos[st], wide.SysPos[dw.SysTerms[i]]; wp != bp.Add(shift) {
+					t.Errorf("%s at partition spacing %d: system terminal %s at %v, then %v; want a (1,1) shift",
+						d.Name, spacing, st.Name, bp, wp)
+				}
+			}
+		}
 	}
 }
 

@@ -2,9 +2,10 @@ package netlist
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -47,7 +48,10 @@ type record struct {
 func readRecords(r io.Reader, wantFields int, what string) ([]record, error) {
 	var out []record
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	// Records may run to 1 MiB. The buffer starts at the scanner's
+	// default size and grows only for a longer line, so parsing a file
+	// does not allocate the maximum up front.
+	sc.Buffer(nil, 1024*1024)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -176,14 +180,21 @@ func Load(name string, callR, netR, ioR io.Reader, src TemplateSource) (*Design,
 	return d, nil
 }
 
+// The writers append each record to one reused line buffer and write
+// every line with a single call: no fmt, and no allocation per record
+// once the buffer has grown. Their output is part of the service's
+// cache key, so it must not change byte for byte.
+
 // WriteCallFile writes the design's instances as a call-file.
 func WriteCallFile(w io.Writer, d *Design) error {
+	var line []byte
 	for _, m := range d.Modules {
 		tpl := m.Template
 		if tpl == "" {
 			tpl = m.Name
 		}
-		if _, err := fmt.Fprintf(w, "%s %s\n", m.Name, tpl); err != nil {
+		line = appendRecord(line[:0], m.Name, tpl)
+		if _, err := w.Write(line); err != nil {
 			return err
 		}
 	}
@@ -192,8 +203,10 @@ func WriteCallFile(w io.Writer, d *Design) error {
 
 // WriteIOFile writes the design's system terminals as an io-file.
 func WriteIOFile(w io.Writer, d *Design) error {
+	var line []byte
 	for _, t := range d.SysTerms {
-		if _, err := fmt.Fprintf(w, "%s %s\n", t.Name, t.Type); err != nil {
+		line = appendRecord(line[:0], t.Name, t.Type.String())
+		if _, err := w.Write(line); err != nil {
 			return err
 		}
 	}
@@ -203,18 +216,42 @@ func WriteIOFile(w io.Writer, d *Design) error {
 // WriteNetListFile writes the design's connections as a net-list-file,
 // ordered by net name then terminal label for determinism.
 func WriteNetListFile(w io.Writer, d *Design) error {
+	var (
+		line  []byte
+		terms []*Terminal
+	)
 	for _, n := range d.SortedNets() {
-		terms := append([]*Terminal(nil), n.Terms...)
-		sort.Slice(terms, func(i, j int) bool { return terms[i].Label() < terms[j].Label() })
+		terms = append(terms[:0], n.Terms...)
+		slices.SortFunc(terms, compareLabels)
 		for _, t := range terms {
 			inst := RootInstance
 			if t.Module != nil {
 				inst = t.Module.Name
 			}
-			if _, err := fmt.Fprintf(w, "%s %s %s\n", n.Name, inst, t.Name); err != nil {
+			line = appendRecord(line[:0], n.Name, inst, t.Name)
+			if _, err := w.Write(line); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// appendRecord appends fields to dst as one blank-separated record line.
+func appendRecord(dst []byte, fields ...string) []byte {
+	for i, f := range fields {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = append(dst, f...)
+	}
+	return append(dst, '\n')
+}
+
+// compareLabels orders terminals as strings.Compare orders their
+// Labels. The labels are built in stack buffers, so a sort allocates
+// nothing for labels of up to 64 bytes.
+func compareLabels(a, b *Terminal) int {
+	var ab, bb [64]byte
+	return bytes.Compare(a.appendLabel(ab[:0]), b.appendLabel(bb[:0]))
 }

@@ -110,6 +110,16 @@ func (t *Terminal) Label() string {
 	return t.Module.Name + "." + t.Name
 }
 
+// appendLabel appends t's Label to dst.
+func (t *Terminal) appendLabel(dst []byte) []byte {
+	if t.Module == nil {
+		dst = append(dst, RootInstance...)
+	} else {
+		dst = append(dst, t.Module.Name...)
+	}
+	return append(append(dst, '.'), t.Name...)
+}
+
 // Module is a subsystem instance: a rectangular symbol of size W x H
 // carrying subsystem terminals on its boundary.
 type Module struct {

@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -366,6 +367,54 @@ func TestParseFilesSkipCommentsAndBlanks(t *testing.T) {
 	}
 	if len(recs) != 1 || recs[0] != (CallRecord{"m0", "G"}) {
 		t.Errorf("got %+v", recs)
+	}
+}
+
+// TestWritersExactText pins the writers' text byte for byte: the
+// service hashes it into cache keys. Terminals sort by their full
+// label, so module "a-" (label "a-.A") comes before module "a" ("a.Y")
+// although "a" < "a-".
+func TestWritersExactText(t *testing.T) {
+	src := specSource{
+		"G": {Name: "G", W: 3, H: 3, Terms: []TermSpec{
+			{Name: "A", Type: In, Pos: geom.Pt(0, 1)},
+			{Name: "Y", Type: Out, Pos: geom.Pt(3, 1)},
+		}},
+	}
+	d, err := Load("w", strings.NewReader("a G\na- G\n"),
+		strings.NewReader("w a Y\nw a- A\nw root X\nv root Z\nv a A\n"),
+		strings.NewReader("Z inout\nX out\n"), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		write func(io.Writer, *Design) error
+		want  string
+	}{
+		{WriteCallFile, "a G\na- G\n"},
+		{WriteIOFile, "Z inout\nX out\n"},
+		{WriteNetListFile, "v a A\nv root Z\nw a- A\nw a Y\nw root X\n"},
+	} {
+		var b strings.Builder
+		if err := tc.write(&b, d); err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != tc.want {
+			t.Errorf("wrote %q, want %q", b.String(), tc.want)
+		}
+	}
+}
+
+// TestParseLongRecords: a record line may run to 1 MiB, and one past
+// that is refused.
+func TestParseLongRecords(t *testing.T) {
+	long := strings.Repeat("m", 200<<10)
+	recs, err := ParseCallFile(strings.NewReader("m0 G\n" + long + " G\nm1 G\n"))
+	if err != nil || len(recs) != 3 || recs[1].Instance != long {
+		t.Fatalf("a 200 KiB record: %d records, %v", len(recs), err)
+	}
+	if _, err := ParseCallFile(strings.NewReader(strings.Repeat("m", 1<<20) + " G\n")); err == nil {
+		t.Error("a record over 1 MiB was accepted")
 	}
 }
 

@@ -3,8 +3,10 @@ package service
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 
 	"netart/internal/obs"
 	"netart/internal/resilience"
@@ -82,8 +84,10 @@ func (c *resultStore) enabled() bool { return c.backend != nil && !c.faultsArmed
 
 // get returns the stored response for k. Misses are counted except
 // while faults are armed (bypass, not a miss); a disabled store
-// counts misses, matching the previous cache semantics.
-func (c *resultStore) get(ctx context.Context, k cacheKey) (ResponseV2, bool) {
+// counts misses, matching the previous cache semantics. An enabled
+// store's lookup is the request's "store.get" span, with the value's
+// size and whether it was served.
+func (c *resultStore) get(ctx context.Context, o *obs.Observer, k cacheKey) (ResponseV2, bool) {
 	if c.faultsArmed() {
 		return ResponseV2{}, false
 	}
@@ -91,34 +95,94 @@ func (c *resultStore) get(ctx context.Context, k cacheKey) (ResponseV2, bool) {
 		c.misses.Add(1)
 		return ResponseV2{}, false
 	}
+	sp := o.StartSpan("store.get")
+	defer sp.End()
 	val, ok, err := c.backend.Get(ctx, k.String())
+	sp.SetAttr("bytes", int64(len(val)))
 	if err != nil || !ok {
+		sp.SetAttr("hit", 0)
 		c.misses.Add(1)
 		return ResponseV2{}, false
 	}
-	var resp ResponseV2
-	if uerr := json.Unmarshal(val, &resp); uerr != nil {
-		// A value that stopped parsing is treated like corruption:
-		// drop it and recompute.
+	resp, derr := decodeStored(val)
+	if derr != nil {
+		// A value that does not decode (corruption, or a value from
+		// before the framed format) is dropped and recomputed.
 		_ = c.backend.Delete(ctx, k.String())
+		sp.SetAttr("hit", 0)
 		c.misses.Add(1)
 		return ResponseV2{}, false
 	}
+	sp.SetAttr("hit", 1)
 	c.hits.Add(1)
 	return resp, true
 }
 
-// put stores a response under k. Store errors are advisory (counted
-// by the backend; the response is still correct and served).
-func (c *resultStore) put(ctx context.Context, k cacheKey, resp ResponseV2) {
+// put stores a response under k, as the request's "store.put" span.
+// Store errors are advisory (counted by the backend; the response is
+// still correct and served).
+func (c *resultStore) put(ctx context.Context, o *obs.Observer, k cacheKey, resp ResponseV2) {
 	if !c.enabled() {
 		return
 	}
-	val, err := json.Marshal(resp)
+	sp := o.StartSpan("store.put")
+	defer sp.End()
+	val, err := encodeStored(resp)
 	if err != nil {
 		return
 	}
+	sp.SetAttr("bytes", int64(len(val)))
 	_ = c.backend.Put(ctx, k.String(), val)
+}
+
+// A stored value is framed so that a hit decodes a small header, not
+// the artwork:
+//
+//	[4-byte big-endian n][n bytes: the response as JSON, Diagram empty, Report.Trace nil][the diagram]
+//
+// The trace is not stored, because every hit serves a trace of its own.
+// A value whose length field runs past its end, or whose header does
+// not parse, is corrupt. A value written before the framed format is
+// whole JSON starting `{"n`, so its length field reads 2,065,853,025
+// and it is refused like any other corrupt value.
+const frameHeader = 4
+
+var errFrame = errors.New("service: stored value's header runs past its end")
+
+// encodeStored frames resp for the store.
+func encodeStored(resp ResponseV2) ([]byte, error) {
+	diagram := resp.Diagram
+	resp.Diagram = ""
+	resp.Report.Trace = nil
+	hdr, err := json.Marshal(resp)
+	if err != nil {
+		return nil, err
+	}
+	val := make([]byte, frameHeader, frameHeader+len(hdr)+len(diagram))
+	binary.BigEndian.PutUint32(val, uint32(len(hdr)))
+	val = append(val, hdr...)
+	return append(val, diagram...), nil
+}
+
+// decodeStored reads a framed value. The diagram is copied out once, so
+// the response never aliases val (the memory tier hands out its own
+// slice).
+func decodeStored(val []byte) (ResponseV2, error) {
+	var resp ResponseV2
+	if len(val) < frameHeader {
+		return resp, errFrame
+	}
+	n := uint64(binary.BigEndian.Uint32(val))
+	if n > uint64(len(val)-frameHeader) {
+		return resp, errFrame
+	}
+	body := val[frameHeader:]
+	if err := json.Unmarshal(body[:n], &resp); err != nil {
+		return ResponseV2{}, err
+	}
+	resp.Diagram = string(body[n:])
+	resp.Report.Trace = nil // never stored; a forged one is dropped
+	return resp, nil
 }
 
 // len reports the backend entry count (0 when disabled).

@@ -212,7 +212,8 @@ func TestBestEffortDegradation(t *testing.T) {
 func TestEscalationLadder(t *testing.T) {
 	// Every wavefront search fails, so every rung leaves nets unrouted:
 	// the 422 names the base attempt and every re-placing rung, in
-	// climbing order.
+	// climbing order. fig61 places as one partition, which partition
+	// spacing only translates, so the climb skips that rung.
 	inj := mustInjector(t, "route.wavefront:error:1", 7)
 	_, ts := newTestServer(t, Config{Workers: 1, Inject: inj})
 	resp, body := postJSON(t, ts.URL+"/v2/generate", Request{Workload: "fig61",
@@ -220,7 +221,7 @@ func TestEscalationLadder(t *testing.T) {
 	checkEnvelope(t, resp, body, http.StatusUnprocessableEntity)
 	var env ErrorResponse
 	decode(t, body, &env)
-	const climb = "after route[line-expansion], place[part-spacing+1], place[spacing+1], place[spacing+2]"
+	const climb = "after route[line-expansion], place[spacing+1], place[spacing+2]"
 	if !strings.HasSuffix(env.Error, climb) {
 		t.Errorf("escalate refusal %q does not end %q", env.Error, climb)
 	}

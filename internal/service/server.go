@@ -8,6 +8,7 @@ import (
 	"io"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -237,11 +238,11 @@ type Server struct {
 	lib    *library.Library
 	jobs   *jobs.Manager
 
-	// builtins maps workload names to designs parsed once at startup.
-	// Placement mutates designs through their pointers, so requests
-	// never touch these directly: process() hands a Clone to the
-	// pipeline (see netlist.(*Design).Clone).
-	builtins map[string]*netlist.Design
+	// builtins maps workload names to designs parsed and canonicalized
+	// once at startup. Placement mutates designs through their
+	// pointers, so requests never touch these directly: process() hands
+	// a Clone to the pipeline (see netlist.(*Design).Clone).
+	builtins map[string]builtin
 
 	// testHook, when non-nil, runs inside every pooled task before the
 	// pipeline; tests use it to hold workers busy deterministically.
@@ -249,6 +250,28 @@ type Server struct {
 	// tests use it to hold the leader until every follower has joined.
 	testHook   func()
 	flightHook func()
+}
+
+// builtin is a built-in workload's design with its canonical
+// serialization (the design half of its cache key).
+type builtin struct {
+	design    *netlist.Design
+	canonical string
+}
+
+// newBuiltins parses and canonicalizes every built-in workload once.
+func newBuiltins() map[string]builtin {
+	out := make(map[string]builtin)
+	for name, d := range map[string]*netlist.Design{
+		"fig61":      workload.Fig61(),
+		"quickstart": workload.Quickstart(),
+		"datapath":   workload.Datapath16(),
+		"cpu":        workload.CPU(),
+		"life":       workload.Life27(),
+	} {
+		out[name] = builtin{d, canonicalDesign(d)}
+	}
+	return out
 }
 
 // New builds a Server (no listener; pair Handler() with http.Serve or
@@ -355,21 +378,15 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{
-		cfg:    cfg,
-		pool:   newWorkerPool(cfg.Workers, cfg.QueueDepth),
-		cache:  newResultStore(backend, cfg.StoreBackend, cfg.Inject, m),
-		flight: new(singleflight.Group),
-		fleet:  fleet,
-		stats:  newServerStats(m),
-		obs:    m,
-		lib:    library.Builtin(),
-		builtins: map[string]*netlist.Design{
-			"fig61":      workload.Fig61(),
-			"quickstart": workload.Quickstart(),
-			"datapath":   workload.Datapath16(),
-			"cpu":        workload.CPU(),
-			"life":       workload.Life27(),
-		},
+		cfg:      cfg,
+		pool:     newWorkerPool(cfg.Workers, cfg.QueueDepth),
+		cache:    newResultStore(backend, cfg.StoreBackend, cfg.Inject, m),
+		flight:   new(singleflight.Group),
+		fleet:    fleet,
+		stats:    newServerStats(m),
+		obs:      m,
+		lib:      library.Builtin(),
+		builtins: newBuiltins(),
 		// Terminal-state, eviction, and event-log activity of the job
 		// ring feeds the shared metric set, so /metrics, /v1/stats and
 		// job status documents always agree.
@@ -745,12 +762,12 @@ func (s *Server) processObserved(ctx context.Context, req *Request, o *obs.Obser
 	// are no-ops for every backend, so a degraded or injected-failure
 	// artwork is never served to a later clean request and chaos runs
 	// are not masked by earlier hits.
-	if hit, ok := s.cache.get(ctx, key); ok {
+	if hit, ok := s.cache.get(ctx, o, key); ok {
 		hit.Cached = true
 		hit.ElapsedMs = msSince(t0)
 		// The cached report keeps the original run's timings and
 		// attempts, but the trace must describe *this* request:
-		// root + parse, nothing recomputed.
+		// root, parse and store.get, nothing recomputed.
 		hit.Report.Trace = o.Snapshot()
 		s.obs.Traces.Inc()
 		s.obs.StageObserve("total", time.Since(t0))
@@ -929,7 +946,12 @@ func (s *Server) compute(ctx context.Context, t0 time.Time, o *obs.Observer,
 	}
 	resp.ElapsedMs = msSince(t0)
 	s.obs.Traces.Inc()
-	s.cache.put(ctx, key, resp)
+	if s.cache.enabled() {
+		s.cache.put(ctx, o, key, resp)
+		// The store keeps no trace: snapshot again, so the served one
+		// shows the put.
+		resp.Report.Trace = o.Snapshot()
+	}
 	s.obs.StageObserve("total", time.Since(t0))
 	return &resp, nil
 }
@@ -996,7 +1018,7 @@ func (s *Server) resolveDesign(req *Request) (*netlist.Design, string, error) {
 		}
 		// The base is shared across requests and placement mutates
 		// through design pointers: clone before generating.
-		return base.Clone(), canonicalDesign(base), nil
+		return base.design.Clone(), base.canonical, nil
 	case req.Netlist == "" || req.Calls == "":
 		return nil, "", badRequest("request needs either workload or both netlist and calls")
 	default:
@@ -1023,14 +1045,29 @@ func (s *Server) resolveDesign(req *Request) (*netlist.Design, string, error) {
 // geometry in insertion order, then the io and net-list records in the
 // writers' deterministic order. Two inline netlists differing only in
 // record order, comments or whitespace canonicalize identically; see
-// DESIGN.md "Service result cache".
+// DESIGN.md "Service result cache". Like the netlist writers, it builds
+// each line in one reused buffer and writes it once, without fmt: the
+// bytes are the cache key's, so they must not change.
 func canonicalDesign(d *netlist.Design) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "design %s\n", d.Name)
+	line := append(append([]byte("design "), d.Name...), '\n')
+	b.Write(line)
 	for _, m := range d.Modules {
-		fmt.Fprintf(&b, "mod %s tpl=%s %dx%d\n", m.Name, m.Template, m.W, m.H)
+		// mod <name> tpl=<template> <w>x<h>
+		line = append(append(line[:0], "mod "...), m.Name...)
+		line = append(append(line, " tpl="...), m.Template...)
+		line = strconv.AppendInt(append(line, ' '), int64(m.W), 10)
+		line = strconv.AppendInt(append(line, 'x'), int64(m.H), 10)
+		line = append(line, '\n')
+		b.Write(line)
 		for _, t := range m.Terms {
-			fmt.Fprintf(&b, " t %s %d %d,%d\n", t.Name, int(t.Type), t.Pos.X, t.Pos.Y)
+			//  t <name> <type> <x>,<y>
+			line = append(append(line[:0], " t "...), t.Name...)
+			line = strconv.AppendInt(append(line, ' '), int64(t.Type), 10)
+			line = strconv.AppendInt(append(line, ' '), int64(t.Pos.X), 10)
+			line = strconv.AppendInt(append(line, ','), int64(t.Pos.Y), 10)
+			line = append(line, '\n')
+			b.Write(line)
 		}
 	}
 	_ = netlist.WriteIOFile(&b, d)

@@ -252,7 +252,7 @@ func TestLRUEviction(t *testing.T) {
 	ctx := context.Background()
 	k := func(i int) cacheKey { return makeCacheKey(fmt.Sprintf("d%d", i), "o", "f") }
 	for i := 0; i < 4; i++ {
-		c.put(ctx, k(i), ResponseV2{Name: fmt.Sprintf("r%d", i)})
+		c.put(ctx, nil, k(i), ResponseV2{Name: fmt.Sprintf("r%d", i)})
 	}
 	if got := c.len(); got != 2 {
 		t.Fatalf("cache holds %d entries, want 2", got)
@@ -260,10 +260,10 @@ func TestLRUEviction(t *testing.T) {
 	if ev := m.CacheEvictions.Value(); ev != 2 {
 		t.Fatalf("evictions = %d, want 2", ev)
 	}
-	if _, ok := c.get(ctx, k(0)); ok {
+	if _, ok := c.get(ctx, nil, k(0)); ok {
 		t.Error("oldest entry not evicted")
 	}
-	if _, ok := c.get(ctx, k(3)); !ok {
+	if _, ok := c.get(ctx, nil, k(3)); !ok {
 		t.Error("newest entry missing")
 	}
 }

@@ -5,7 +5,7 @@
 // memory-over-disk write-through combination (Tiered).
 //
 // Keys are content addresses (the service's hex SHA-256 cache keys),
-// values are opaque byte blobs (the canonical JSON serialization of a
+// values are opaque byte blobs (the service's framed encoding of a
 // finished response). Because the pipeline is deterministic and the
 // key hashes every result-affecting input, a stored value never goes
 // stale: the only reasons to drop an entry are capacity (LRU
