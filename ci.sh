@@ -15,13 +15,15 @@
 #                      guard, + the store-tier -race battery (LRU /
 #                      disk / singleflight / fleet), + the fleet chaos
 #                      battery under -race (peers blackholed / killed /
-#                      restored mid-run), + the async job battery under
-#                      -race (submit/stream/cancel lifecycle, SSE
-#                      ordering, jobs chaos gate), + the API-surface
-#                      golden check pinning the HTTP contract, + the
-#                      route gate: cold life route time against an
-#                      in-process calibration kernel, as a median ratio
-#                      held to the committed one)
+#                      restored mid-run), + the executor battery under
+#                      -race (every caller of the one executor: sync
+#                      generate, batch items and async jobs — shedding,
+#                      timeouts, error envelopes, outcome counters, the
+#                      job lifecycle, SSE ordering and the chaos gates),
+#                      + the API-surface golden check pinning the HTTP
+#                      contract, + the route gate: cold life route time
+#                      against an in-process calibration kernel, as a
+#                      median ratio held to the committed one)
 #   tier 2 (-race):    tier 1 with the race detector (slower; exercises
 #                      the netartd worker pool / cache / stats paths and
 #                      the chaos suite's injected panics); the route
@@ -169,18 +171,23 @@ fi
 echo "== fleet chaos battery: go test -race -timeout 120s -run 'TestFleetChaosBattery|TestSingleflightCollapsesProxiedRequest|TestSingleflightFollowersSurviveOpenBreaker' ./internal/service"
 go test -race -timeout 120s -run 'TestFleetChaosBattery|TestSingleflightCollapsesProxiedRequest|TestSingleflightFollowersSurviveOpenBreaker' ./internal/service
 
-# Async job battery: the /v2/jobs lifecycle (cancel while queued,
-# cancel mid-route, TTL eviction, SSE disconnect, restart from the
-# disk store), the job-vs-sync byte-identity and SSE net-order
-# checks, and the jobs chaos gate (pipeline faults must surface as
-# failed job states, never as 5xx on the async HTTP surface) — all
-# under the race detector. Tier 2's full -race pass above already
-# covers these; the explicit tier-1 step gives regressions their own
-# headline.
+# Executor battery: every caller of the service's one executor
+# (exec.go: admit, start, settle) under the race detector. Sync
+# generate: queue shedding, timeouts in the pipeline and in the queue,
+# 400s answered before the queue. Batch: items never shed by their own
+# siblings, retry of transient faults only. Jobs: the /v2/jobs
+# lifecycle (cancel while queued, cancel mid-route, TTL eviction, SSE
+# disconnect, restart from the disk store), job-vs-sync byte identity
+# and SSE net order. Across all three: the error envelope, identical
+# outcome counters, and the chaos gates (pipeline faults surface as
+# clean statuses or failed job states, never as a crash). Tier 2's
+# full -race pass above already covers these; the explicit tier-1 step
+# gives regressions their own headline.
 if [ -z "${RACE}" ]; then
-	echo "== async job battery: go test -race ./internal/jobs + 'TestJob|TestChaosJobs' ./internal/service"
+	EXEC_TESTS='TestJob|TestChaos|TestBatch|TestQueueShedding|TestRequestTimeout|TestErrorEnvelope|TestOutcomeCountersAgree|TestBadOptionsAnsweredBeforeQueue'
+	echo "== executor battery: go test -race ./internal/jobs + '${EXEC_TESTS}' ./internal/service"
 	go test -race ./internal/jobs
-	go test -race -timeout 300s -run 'TestJob|TestChaosJobs' ./internal/service
+	go test -race -timeout 300s -run "${EXEC_TESTS}" ./internal/service
 fi
 
 # API-surface tripwire: the HTTP route table and every response shape

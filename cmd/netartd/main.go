@@ -21,7 +21,6 @@
 //	        [-peer-probe-interval 2s] [-peer-fail-threshold 3]
 //	        [-proxy-hedge-after 0] [-peer-timeout 0]
 //	        [-degrade-mode none|strict|escalate|best-effort]
-//	        [-batch-retries N] [-retry-base 10ms] [-retry-max 250ms]
 //	        [-max-body BYTES] [-max-modules N] [-max-nets N] [-max-area N]
 //	        [-faults SPEC] [-fault-seed N]
 //
@@ -154,10 +153,6 @@ func run() error {
 		"default routing-failure policy: none, strict, escalate, best-effort")
 	verifyRouting := flag.Bool("verify-routing", false,
 		"machine-check every response's wire geometry against its netlist before serving")
-	batchRetries := flag.Int("batch-retries", 2,
-		"extra attempts for transient batch-item failures (negative disables)")
-	retryBase := flag.Duration("retry-base", 10*time.Millisecond, "base backoff between batch retries")
-	retryMax := flag.Duration("retry-max", 250*time.Millisecond, "backoff cap between batch retries")
 
 	maxBody := flag.Int64("max-body", 8<<20, "request body cap in bytes (413 beyond)")
 	maxModules := flag.Int("max-modules", 4096, "design module cap (422 beyond; negative disables)")
@@ -231,9 +226,6 @@ func run() error {
 		MaxPlaneArea:      *maxArea,
 		DegradeMode:       dm,
 		VerifyRouting:     *verifyRouting,
-		BatchRetries:      *batchRetries,
-		RetryBase:         *retryBase,
-		RetryMax:          *retryMax,
 		Inject:            inj,
 		StoreBackend:      *storeBackend,
 		StoreDir:          *storeDir,

@@ -62,13 +62,10 @@ func TestChaosMixedTraffic(t *testing.T) {
 		"parse:error:0.10;place.box:panic:0.02;route.wavefront:error:0.05;"+
 			"render:panic:0.05;parse:latency:0.10:2ms", 42)
 	s, ts := newTestServer(t, Config{
-		Workers:      4,
-		QueueDepth:   64,
-		Inject:       inj,
-		DegradeMode:  gen.DegradeBestEffort,
-		BatchRetries: 1,
-		RetryBase:    time.Millisecond,
-		RetryMax:     4 * time.Millisecond,
+		Workers:     4,
+		QueueDepth:  64,
+		Inject:      inj,
+		DegradeMode: gen.DegradeBestEffort,
 		// Every successful response under chaos is machine-checked: the
 		// wire geometry must realize the netlist even when the pipeline
 		// is being shot at (degraded partials included — failed nets are
@@ -392,13 +389,7 @@ func TestResourceGuards(t *testing.T) {
 // succeeds, and the item reports both the recovery and its cost.
 func TestBatchRetryTransient(t *testing.T) {
 	inj := mustInjector(t, "parse:error:1:x1", 3)
-	s, ts := newTestServer(t, Config{
-		Workers:      1,
-		Inject:       inj,
-		BatchRetries: 2,
-		RetryBase:    time.Millisecond,
-		RetryMax:     2 * time.Millisecond,
-	})
+	s, ts := newTestServer(t, Config{Workers: 1, Inject: inj})
 
 	resp, body := postJSON(t, ts.URL+"/v1/batch",
 		BatchRequest{Requests: []Request{{Workload: "fig61"}}})
@@ -425,8 +416,7 @@ func TestBatchRetryTransient(t *testing.T) {
 // TestBatchNoRetryOnPermanent: a malformed request must fail its item
 // on the first attempt; retrying a 400 would only burn workers.
 func TestBatchNoRetryOnPermanent(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, BatchRetries: 3,
-		RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond})
+	s, ts := newTestServer(t, Config{Workers: 1})
 
 	resp, body := postJSON(t, ts.URL+"/v1/batch",
 		BatchRequest{Requests: []Request{{Workload: "warp-core"}}})

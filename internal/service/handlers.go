@@ -12,7 +12,6 @@ import (
 
 	"netart/internal/obs"
 	"netart/internal/resilience"
-	"netart/internal/store/cluster"
 )
 
 // maxBatchItems bounds one batch call; bigger batches should be split
@@ -162,13 +161,7 @@ func (s *Server) generateV2(w http.ResponseWriter, r *http.Request, render func(
 		writeError(w, err)
 		return
 	}
-	ctx := r.Context()
-	if r.Header.Get(cluster.HopHeader) != "" {
-		// A peer forwarded this request here: mark the context so the
-		// fleet layer computes locally instead of forwarding again.
-		ctx = withPeerHop(ctx)
-	}
-	resp, err := s.GenerateV2(ctx, &req)
+	resp, err := s.GenerateV2(hopContext(r), &req)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -191,13 +184,12 @@ func (s *Server) handleGenerateV2(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// retryPolicy derives the batch backoff schedule from the config.
-func (s *Server) retryPolicy() resilience.RetryPolicy {
-	return resilience.RetryPolicy{
-		MaxAttempts: 1 + s.cfg.BatchRetries,
-		BaseDelay:   s.cfg.RetryBase,
-		MaxDelay:    s.cfg.RetryMax,
-	}
+// batchRetry is the one retry policy of batch items: three attempts,
+// with jittered exponential backoff from 10 ms, capped at 250 ms.
+var batchRetry = resilience.RetryPolicy{
+	MaxAttempts: 3,
+	BaseDelay:   10 * time.Millisecond,
+	MaxDelay:    250 * time.Millisecond,
 }
 
 // statusOf extracts the HTTP status an error maps to (500 fallback).
@@ -230,12 +222,11 @@ func retryableBatch(parent interface{ Err() error }) func(error) bool {
 	}
 }
 
-// runBatch fans the items out over the worker pool concurrently and
-// reports per-item outcomes in request order. Items shed by the full
-// queue fail individually with 429 — one oversized batch cannot wedge
-// the daemon. Transient item failures are retried with exponential
-// backoff and jitter, bounded by Config.BatchRetries; the per-item
-// attempt count is reported so callers can see the retry spend.
+// runBatch runs each item as one GenerateV2 call and reports per-item
+// outcomes in request order. At most Workers items of one batch hold a
+// queue slot at once, so a batch waits for its own items instead of
+// shedding them. Transient failures, sheds by other traffic included,
+// are retried under batchRetry; each item reports its attempt count.
 // Returns a client error (to report whole-batch) or the item results.
 func (s *Server) runBatch(w http.ResponseWriter, r *http.Request) ([]BatchItemV2, error) {
 	var batch BatchRequest
@@ -248,8 +239,9 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request) ([]BatchItemV2
 	if len(batch.Requests) > maxBatchItems {
 		return nil, badRequest("batch carries %d requests (max %d)", len(batch.Requests), maxBatchItems)
 	}
-	policy := s.retryPolicy()
-	classify := retryableBatch(r.Context())
+	ctx := r.Context()
+	classify := retryableBatch(ctx)
+	slots := make(chan struct{}, s.cfg.Workers)
 	results := make([]BatchItemV2, len(batch.Requests))
 	var wg sync.WaitGroup
 	for i := range batch.Requests {
@@ -257,13 +249,19 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request) ([]BatchItemV2
 		go func(i int) {
 			defer wg.Done()
 			var resp *ResponseV2
-			attempts, err := resilience.Retry(r.Context(), policy, classify, rand.Float64,
+			attempts, err := resilience.Retry(ctx, batchRetry, classify, rand.Float64,
 				func(attempt int) error {
 					if attempt > 1 {
 						s.obs.Retries.Inc()
 					}
+					select {
+					case slots <- struct{}{}:
+					case <-ctx.Done():
+						return ctx.Err()
+					}
+					defer func() { <-slots }()
 					var gerr error
-					resp, gerr = s.GenerateV2(r.Context(), &batch.Requests[i])
+					resp, gerr = s.GenerateV2(ctx, &batch.Requests[i])
 					return gerr
 				})
 			if err != nil {

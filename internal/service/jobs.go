@@ -12,18 +12,16 @@ import (
 	"netart/internal/gen"
 	"netart/internal/jobs"
 	"netart/internal/obs"
-	"netart/internal/resilience"
-	"netart/internal/store/cluster"
 )
 
 // This file is the async half of the generate API: POST /v2/jobs
 // submits a request and returns immediately with a job id; the job
-// then runs through the exact same bounded pool, cache, singleflight
-// and fleet layers as the synchronous path — process() is shared — so
-// the final artwork is byte-identical to what /v2/generate would have
-// served. Progress streams over GET /v2/jobs/{id}/events as SSE:
-// placement geometry first, then one event per routed net strictly in
-// the router's routing order, then the full report.
+// then runs through the same executor as the synchronous path
+// (exec.go: admit, start, settle), so the final artwork is
+// byte-identical to what /v2/generate would have served. Progress
+// streams over GET /v2/jobs/{id}/events as SSE: placement geometry
+// first, then one event per routed net strictly in the router's
+// routing order, then the full report.
 
 // SubmitResponse is the 202 body of POST /v2/jobs.
 type SubmitResponse struct {
@@ -96,78 +94,56 @@ type jobNet struct {
 	Segments [][4]int `json:"segments"`
 }
 
-// SubmitJob validates and enqueues one async generation job. The ctx
-// only carries submission-time values (the peer-hop marker); the job
-// itself runs on a detached context bounded by the request's timeout
-// budget, so it survives the submitting HTTP connection. Returned
-// errors are *svcError: malformed requests fail synchronously with
-// the same statuses the synchronous path would use, and a full job
-// ring or worker queue sheds with 429.
+// SubmitJob validates and enqueues one async generation job through
+// the executor (exec.go). The ctx only carries submission-time values
+// (the peer-hop marker); the job itself runs on a detached context
+// bounded by the request's timeout budget, so it survives the
+// submitting HTTP connection. Returned errors are *svcError: malformed
+// requests fail synchronously with the same statuses the synchronous
+// path would use, and a full job ring or worker queue sheds with 429.
 func (s *Server) SubmitJob(ctx context.Context, req *Request) (*SubmitResponse, error) {
-	s.obs.Requests.Inc()
-	if err := s.preGuard(req); err != nil {
-		s.obs.Rejected.Inc()
+	c, err := s.admit(req)
+	if err != nil {
 		return nil, err
 	}
-	// Validate what the pipeline would reject immediately, so option
-	// typos are a synchronous 400, not a failed job.
-	if _, err := resolveFormat(req.Format); err != nil {
-		s.obs.Failed.Inc()
-		return nil, err
-	}
-	if _, err := req.Options.resolve(); err != nil {
-		s.obs.Failed.Inc()
-		return nil, badRequest("%v", err)
-	}
-
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	base := context.Background()
-	if peerHopped(ctx) {
-		base = withPeerHop(base)
-	}
-	// The job context is detached from the HTTP request (the submitter
-	// may disconnect immediately) but keeps the same timeout budget the
-	// synchronous path would have enforced. Its cancel func doubles as
-	// the DELETE hook: explicit cancellation yields context.Canceled,
-	// deadline expiry yields DeadlineExceeded, and runJob tells the two
-	// apart when classifying the unwind.
-	jctx, jcancel := context.WithTimeout(base, timeout)
+	// The job context drops the HTTP request's cancellation (the
+	// submitter may disconnect at once) but keeps its values and the
+	// timeout budget the synchronous path would enforce. Its cancel
+	// func doubles as the DELETE hook: explicit cancellation yields
+	// context.Canceled, deadline expiry DeadlineExceeded, and settle
+	// tells the two apart.
+	jctx, jcancel := context.WithTimeout(context.WithoutCancel(ctx), s.timeout(req))
 	j, err := s.jobs.Create(jcancel)
 	if err != nil {
 		jcancel()
 		s.obs.Shed.Inc()
-		return nil, &svcError{status: 429, msg: err.Error()}
+		return nil, &svcError{status: http.StatusTooManyRequests, msg: err.Error()}
 	}
-	done, serr := s.pool.submit(jctx, func(ctx context.Context) {
-		s.runJob(ctx, j, req)
-	})
-	if serr != nil {
+	wait, err := s.start(jctx, c, j)
+	if err != nil {
 		s.jobs.Remove(j.ID())
 		jcancel()
-		s.obs.Shed.Inc()
-		return nil, &svcError{status: 429, msg: serr.Error()}
+		return nil, err
 	}
 	s.obs.JobsSubmitted.Inc()
-	// The pool always closes done, even for tasks it skipped because
-	// their context expired in the queue. This watcher turns such a
-	// skip into the 504 the synchronous path would have served, and a
-	// task aborted by the pool's last-resort recovery into a 500 —
-	// without it, those jobs would sit "queued"/"running" until TTL.
+	// The verdict drives the job's terminal transition; the terminal
+	// counters ride on the manager's OnFinish hook.
 	go func() {
-		<-done
 		defer jcancel()
-		switch j.State() {
-		case jobs.StateQueued:
-			s.obs.Timeouts.Inc()
-			j.Fail(http.StatusGatewayTimeout, "deadline expired while queued")
-		case jobs.StateRunning:
-			j.Fail(http.StatusInternalServerError, "internal: generation task aborted")
+		resp, err := wait()
+		var se *svcError
+		switch {
+		case err == nil:
+			// The report event carries the complete response, so an
+			// SSE-only consumer never needs the status endpoint;
+			// Finish then appends the terminal state event and retains
+			// the result for GET.
+			j.Publish("report", resp)
+			j.Finish(resp)
+		case errors.As(err, &se):
+			j.Fail(se.status, se.msg)
+		default:
+			j.FinishCanceled("canceled by client")
 		}
 	}()
 	return &SubmitResponse{
@@ -178,21 +154,11 @@ func (s *Server) SubmitJob(ctx context.Context, req *Request) (*SubmitResponse, 
 	}, nil
 }
 
-// runJob executes one job on a pool worker. It mirrors the outcome
-// accounting of GenerateV2 — the same counters increment for the same
-// reasons — and additionally drives the job state machine and event
-// log.
-func (s *Server) runJob(ctx context.Context, j *jobs.Job, req *Request) {
-	if !j.Start() {
-		// Canceled between the worker's context check and here.
-		return
-	}
-	o := obs.NewObserver(s.obs, "request")
-	// The live observer rides on the record so GET /v2/jobs/{id} can
-	// snapshot the span tree mid-run (safe: span mutation is locked).
-	j.Attach(o)
-
-	progress := func(ev gen.ProgressEvent) {
+// jobProgress relays pipeline progress to the job's event log and
+// live counters: the placed geometry, each ladder attempt, and each
+// routed net in routing order.
+func jobProgress(j *jobs.Job) gen.ProgressFunc {
+	return func(ev gen.ProgressEvent) {
 		switch ev.Kind {
 		case gen.ProgressPlaced:
 			j.SetProgress("route", 0, 0)
@@ -238,41 +204,6 @@ func (s *Server) runJob(ctx context.Context, j *jobs.Job, req *Request) {
 			j.SetProgress("route", ev.Index+1, ev.Total)
 		}
 	}
-
-	var resp *ResponseV2
-	err := resilience.Recover("pipeline", func() error {
-		if s.testHook != nil {
-			s.testHook()
-		}
-		var perr error
-		resp, perr = s.processObserved(ctx, req, o, progress)
-		return perr
-	})
-	if err != nil {
-		if errors.Is(ctx.Err(), context.Canceled) {
-			// A client DELETE canceled the job context; the terminal
-			// counter rides on the manager's OnFinish hook.
-			j.FinishCanceled("canceled by client")
-			return
-		}
-		se := s.mapError(ctx, err)
-		j.Fail(se.status, se.msg)
-		return
-	}
-	if resp == nil {
-		s.obs.Failed.Inc()
-		j.Fail(http.StatusInternalServerError, "internal: generation task aborted")
-		return
-	}
-	if resp.Report.Degraded != nil {
-		s.obs.Degraded.Inc()
-	}
-	s.obs.OK.Inc()
-	// The report event carries the complete response, so an SSE-only
-	// consumer never needs the status endpoint; Finish then appends the
-	// terminal state event and retains the result for GET.
-	j.Publish("report", resp)
-	j.Finish(resp)
 }
 
 func jobStatusURL(id string) string { return "/v2/jobs/" + id }
@@ -326,11 +257,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	ctx := r.Context()
-	if r.Header.Get(cluster.HopHeader) != "" {
-		ctx = withPeerHop(ctx)
-	}
-	resp, err := s.SubmitJob(ctx, &req)
+	resp, err := s.SubmitJob(hopContext(r), &req)
 	if err != nil {
 		writeError(w, err)
 		return

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"errors"
 	"sync"
 
@@ -16,27 +15,15 @@ var ErrQueueFull = errors.New("service: worker queue full")
 // errPoolClosed is returned for submissions after Close.
 var errPoolClosed = errors.New("service: pool closed")
 
-// task is one queued unit of work. run executes on a worker goroutine;
-// the submitter waits on done (the worker always closes it), so result
-// hand-off needs no extra synchronization beyond the closure.
-type task struct {
-	ctx  context.Context
-	run  func(ctx context.Context)
-	done chan struct{}
-}
-
 // workerPool is a fixed set of workers draining a bounded queue.
 // Capping the workers keeps heavy generation requests from starving
 // the scheduler; capping the queue converts overload into fast 429s.
 type workerPool struct {
-	queue chan *task
+	queue chan func()
 	wg    sync.WaitGroup
 
 	mu     sync.Mutex
 	closed bool
-
-	workers int
-	depth   int
 
 	// onPanic, when set, observes panics that escape a task. The pool
 	// always survives them: one poisoned request must never take down
@@ -53,11 +40,7 @@ func newWorkerPool(workers, depth int) *workerPool {
 	if depth < 0 {
 		depth = 0
 	}
-	p := &workerPool{
-		queue:   make(chan *task, depth),
-		workers: workers,
-		depth:   depth,
-	}
+	p := &workerPool{queue: make(chan func(), depth)}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go p.worker()
@@ -67,45 +50,37 @@ func newWorkerPool(workers, depth int) *workerPool {
 
 func (p *workerPool) worker() {
 	defer p.wg.Done()
-	for t := range p.queue {
-		// A task whose deadline expired while queued is not worth
-		// starting; its waiter still gets woken via done.
-		if t.ctx.Err() == nil {
-			// Last-resort panic isolation: tasks are expected to carry
-			// their own Recover (for accurate stage labels), but
-			// anything that still escapes is converted here so the
-			// worker goroutine — and with it every queued request —
-			// survives.
-			if err := resilience.Recover("pool", func() error {
-				t.run(t.ctx)
-				return nil
-			}); err != nil {
-				if se, ok := resilience.AsStageError(err); ok && p.onPanic != nil {
-					p.onPanic(se)
-				}
+	for task := range p.queue {
+		// Last-resort panic isolation: tasks are expected to carry
+		// their own Recover (for accurate stage labels), but anything
+		// that still escapes is converted here so the worker goroutine
+		// — and with it every queued request — survives.
+		if err := resilience.Recover("pool", func() error {
+			task()
+			return nil
+		}); err != nil {
+			if se, ok := resilience.AsStageError(err); ok && p.onPanic != nil {
+				p.onPanic(se)
 			}
 		}
-		close(t.done)
 	}
 }
 
-// submit enqueues fn without blocking. It returns ErrQueueFull when all
-// waiting slots are taken. On success the returned channel closes when
-// the task has finished (or was skipped because its context expired).
-func (p *workerPool) submit(ctx context.Context, fn func(ctx context.Context)) (<-chan struct{}, error) {
+// submit enqueues task without blocking. It returns ErrQueueFull when
+// all waiting slots are taken. Every accepted task runs, close drains
+// them, so a submitter that waits has the task signal its own end
+// (Server.start).
+func (p *workerPool) submit(task func()) error {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
-		return nil, errPoolClosed
+		return errPoolClosed
 	}
-	t := &task{ctx: ctx, run: fn, done: make(chan struct{})}
 	select {
-	case p.queue <- t:
-		p.mu.Unlock()
-		return t.done, nil
+	case p.queue <- task:
+		return nil
 	default:
-		p.mu.Unlock()
-		return nil, ErrQueueFull
+		return ErrQueueFull
 	}
 }
 

@@ -2,8 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -18,7 +16,6 @@ import (
 	"netart/internal/netlist"
 	"netart/internal/obs"
 	"netart/internal/resilience"
-	"netart/internal/route"
 	"netart/internal/store"
 	"netart/internal/store/cluster"
 	"netart/internal/store/singleflight"
@@ -76,14 +73,6 @@ type Config struct {
 	// Chaos and CI deployments turn this on; the check is O(wire
 	// points) per request.
 	VerifyRouting bool
-
-	// BatchRetries is the number of extra attempts a transient /v1/batch
-	// item failure may consume (default 2; negative disables retry).
-	// RetryBase/RetryMax shape the exponential backoff between attempts
-	// (defaults 10ms/250ms; jitter is always applied).
-	BatchRetries int
-	RetryBase    time.Duration
-	RetryMax     time.Duration
 
 	// Inject arms the fault-injection sites across the whole pipeline
 	// (chaos testing; see resilience.ParseSpec). While any rule is
@@ -182,17 +171,6 @@ func (c Config) withDefaults() Config {
 		c.MaxPlaneArea = 4 << 20
 	case c.MaxPlaneArea < 0:
 		c.MaxPlaneArea = 0
-	}
-	if c.BatchRetries == 0 {
-		c.BatchRetries = 2
-	} else if c.BatchRetries < 0 {
-		c.BatchRetries = 0
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 10 * time.Millisecond
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = 250 * time.Millisecond
 	}
 	if c.StoreBackend == "" {
 		c.StoreBackend = "mem"
@@ -336,46 +314,9 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	var fleet *cluster.Fleet
-	if len(cfg.Peers) > 0 {
-		copts := cluster.Options{
-			Timeout:          cfg.PeerTimeout,
-			MaxResponseBytes: cfg.MaxBodyBytes,
-			HedgeAfter:       cfg.ProxyHedgeAfter,
-			OnEvent: func(ev string) {
-				switch ev {
-				case cluster.EventProxyRetry:
-					m.ProxyRetries.Inc()
-				case cluster.EventHedgeLaunched:
-					m.HedgeLaunched.Inc()
-				case cluster.EventHedgeWon:
-					m.HedgeWon.Inc()
-				}
-			},
-			// Breakers are always on for a fleet; PeerProbeInterval 0
-			// (a negative config value) merely disables the prober.
-			Probe: &cluster.HealthOptions{
-				ProbeInterval: cfg.PeerProbeInterval,
-				FailThreshold: cfg.PeerFailThreshold,
-				OnTransition: func(peer string, from, to cluster.State) {
-					switch to {
-					case cluster.StateOpen:
-						m.PeerOpened.Inc()
-					case cluster.StateHalfOpen:
-						m.PeerHalfOpened.Inc()
-					default:
-						m.PeerClosed.Inc()
-					}
-				},
-			},
-		}
-		if cfg.PeerFaults != nil {
-			copts.Transport = &cluster.FaultTransport{Plan: cfg.PeerFaults}
-		}
-		fleet, err = cluster.New(cfg.SelfURL, cfg.Peers, copts)
-		if err != nil {
-			return nil, err
-		}
+	fleet, err := newFleet(cfg, m)
+	if err != nil {
+		return nil, err
 	}
 	s := &Server{
 		cfg:      cfg,
@@ -421,17 +362,6 @@ func NewServer(cfg Config) (*Server, error) {
 		func() float64 { tracked, _ := s.jobs.Counts(); return float64(tracked) })
 	m.Reg.GaugeFunc("netart_jobs_active", "Jobs currently queued or running.", "",
 		func() float64 { _, live := s.jobs.Counts(); return float64(live) })
-	// One breaker-state gauge per fleet peer, sampled at scrape time:
-	// 1 closed (live), 0.5 half-open (probing), 0 open (down).
-	if s.fleet.Enabled() {
-		for _, ps := range s.fleet.PeerStates() {
-			peer := ps.URL
-			m.Reg.GaugeFunc("netart_peer_state",
-				"Per-peer circuit-breaker state: 1 closed (live), 0.5 half-open (probing), 0 open (down).",
-				`peer="`+peer+`"`,
-				func() float64 { return s.fleet.StateOf(peer).GaugeValue() })
-		}
-	}
 	// Panics that escape a task (outside the per-request Recover) are
 	// still counted and surfaced in /v1/stats.
 	s.pool.onPanic = s.stats.recordPanic
@@ -442,34 +372,9 @@ func NewServer(cfg Config) (*Server, error) {
 // tests and embedding daemons read counters through it.
 func (s *Server) Metrics() *obs.Pipeline { return s.obs }
 
-// Fleet exposes the live fleet view (nil outside a fleet); benches
-// and tests read ownership and breaker states through it.
-func (s *Server) Fleet() *cluster.Fleet { return s.fleet }
-
 // Jobs exposes the async job ring; benches and tests submit through
 // SubmitJob and observe through the manager.
 func (s *Server) Jobs() *jobs.Manager { return s.jobs }
-
-// fleetHealth snapshots the fleet section of /v1/healthz and
-// /v1/stats; nil when this daemon is not part of a fleet.
-func (s *Server) fleetHealth() *FleetHealth {
-	if !s.fleet.Enabled() {
-		return nil
-	}
-	fh := &FleetHealth{Self: s.fleet.Self()}
-	for _, ps := range s.fleet.PeerStates() {
-		live := ps.State == cluster.StateClosed
-		fh.Peers = append(fh.Peers, PeerHealth{
-			URL:   ps.URL,
-			State: ps.State.String(),
-			Live:  live,
-		})
-		if !live {
-			fh.Down++
-		}
-	}
-	return fh
-}
 
 // Close drains the worker pool, then closes the result store and the
 // fleet client. Ordering matters for graceful persistence: in-flight
@@ -583,404 +488,22 @@ func (s *Server) Generate(ctx context.Context, req *Request) (*Response, error) 
 	return v2.V1(), nil
 }
 
-// GenerateV2 runs one request through the bounded worker pool and
-// waits for its completion. It is the programmatic entry the HTTP
-// handlers and the benchmarks share. Returned errors are *svcError
-// with an embedded HTTP status.
-//
-// The pipeline closure runs under resilience.Recover: a panic in any
-// stage becomes a *resilience.StageError, is recorded in /v1/stats
-// and /metrics, and maps to a 500 for this request alone — the
-// daemon, the worker goroutine, and every other queued request keep
-// going.
+// GenerateV2 runs one request through the executor (exec.go) and
+// waits for its verdict. It is the programmatic entry the HTTP
+// handlers, the batch items and the benchmarks share. Returned errors
+// are *svcError with an embedded HTTP status.
 func (s *Server) GenerateV2(ctx context.Context, req *Request) (*ResponseV2, error) {
-	s.obs.Requests.Inc()
-
-	if err := s.preGuard(req); err != nil {
-		s.obs.Rejected.Inc()
+	c, err := s.admit(req)
+	if err != nil {
 		return nil, err
 	}
-
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
+	ctx, cancel := context.WithTimeout(ctx, s.timeout(req))
 	defer cancel()
-
-	var (
-		resp *ResponseV2
-		err  error
-		ran  bool
-	)
-	done, serr := s.pool.submit(ctx, func(ctx context.Context) {
-		ran = true
-		err = resilience.Recover("pipeline", func() error {
-			if s.testHook != nil {
-				s.testHook()
-			}
-			var perr error
-			resp, perr = s.process(ctx, req)
-			return perr
-		})
-	})
-	if serr != nil {
-		s.obs.Shed.Inc()
-		return nil, &svcError{status: 429, msg: serr.Error()}
-	}
-	<-done
-	if !ran {
-		// Deadline expired while the task sat in the queue.
-		s.obs.Timeouts.Inc()
-		return nil, &svcError{status: 504, msg: ctx.Err().Error()}
-	}
-	if err == nil && resp == nil {
-		// Defensive: a task that was aborted by the pool's last-resort
-		// recovery leaves neither a response nor an error behind.
-		err = &svcError{status: 500, msg: "internal: generation task aborted"}
-	}
-	if err != nil {
-		return nil, s.mapError(ctx, err)
-	}
-	if resp.Report.Degraded != nil {
-		s.obs.Degraded.Inc()
-	}
-	s.obs.OK.Inc()
-	return resp, nil
-}
-
-// mapError classifies a pipeline error into the *svcError the HTTP
-// layer serves, updating the outcome counters on the way:
-//
-//	panic (StageError)        → 500, counted + ringed in /v1/stats
-//	resource cap (LimitError) → 422
-//	unroutable (strict modes) → 422
-//	context deadline          → 504
-//	anything else             → its svcError status, or 500
-func (s *Server) mapError(ctx context.Context, err error) *svcError {
-	if se, ok := resilience.AsStageError(err); ok {
-		s.stats.recordPanic(se)
-		s.obs.Failed.Inc()
-		return &svcError{status: 500, msg: se.Error(), cause: se}
-	}
-	if le, ok := resilience.AsLimitError(err); ok {
-		s.obs.Rejected.Inc()
-		return unprocessable("%v", le)
-	}
-	var ue *gen.UnroutableError
-	if errors.As(err, &ue) {
-		s.obs.Failed.Inc()
-		return unprocessable("%v", ue)
-	}
-	if ctx.Err() != nil {
-		s.obs.Timeouts.Inc()
-		return &svcError{status: 504, msg: err.Error(), cause: err}
-	}
-	s.obs.Failed.Inc()
-	if se, ok := err.(*svcError); ok {
-		return se
-	}
-	return &svcError{status: 500, msg: err.Error(), cause: err}
-}
-
-// process executes the pipeline on a worker goroutine: resolve/parse,
-// cache lookup, place+route, render, cache fill. One obs.Observer is
-// threaded through all of it: every stage appears as a span under the
-// "request" root (feeding the per-stage latency histograms on span
-// end) and runs under its own resilience.Recover so a panic is
-// attributed to the stage it escaped from.
-func (s *Server) process(ctx context.Context, req *Request) (*ResponseV2, error) {
-	return s.processObserved(ctx, req, obs.NewObserver(s.obs, "request"), nil)
-}
-
-// processObserved is process with the observer and an optional
-// progress tap supplied by the caller: async jobs pre-create both so
-// the job's status document can snapshot the live span tree and its
-// event stream can relay pipeline progress. Progress events fire only
-// when the pipeline actually runs here — a cache hit, a singleflight
-// follower, and a fleet-proxied request produce none (their jobs jump
-// straight to the final report).
-func (s *Server) processObserved(ctx context.Context, req *Request, o *obs.Observer, progress gen.ProgressFunc) (*ResponseV2, error) {
-	t0 := time.Now()
-	s.obs.Inflight.Add(1)
-	defer s.obs.Inflight.Add(-1)
-
-	format, err := resolveFormat(req.Format)
+	wait, err := s.start(ctx, c, nil)
 	if err != nil {
 		return nil, err
 	}
-	opts, err := req.Options.resolve()
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	// Server-side resilience and observability wiring: the effective
-	// degradation policy (request override wins), the fault injector,
-	// the plane-area guard, and the observer all ride on gen.Options.
-	if req.Options.DegradeMode == "" {
-		opts.Degrade = s.cfg.DegradeMode
-	}
-	opts.Inject = s.cfg.Inject
-	opts.Observer = o
-	opts.Progress = progress
-	if opts.Route.MaxPlaneArea == 0 {
-		opts.Route.MaxPlaneArea = s.cfg.MaxPlaneArea
-	}
-
-	// Parse stage: obtain a request-private design plus its canonical
-	// serialization (the cache-key half derived from the network).
-	psp := o.StartSpan("parse")
-	var (
-		design    *netlist.Design
-		canonical string
-	)
-	err = resilience.Recover("parse", func() error {
-		if ferr := s.cfg.Inject.Fire(resilience.SiteParse); ferr != nil {
-			return ferr
-		}
-		var perr error
-		design, canonical, perr = s.resolveDesign(req)
-		return perr
-	})
-	if err != nil {
-		endSpanError(psp, err)
-		return nil, err
-	}
-	psp.SetAttr("modules", int64(len(design.Modules)))
-	psp.SetAttr("nets", int64(len(design.Nets)))
-	psp.End()
-	// Authoritative resource guard, now that real counts exist.
-	if err := s.cfg.guards().CheckCounts(len(design.Modules), len(design.Nets)); err != nil {
-		return nil, err
-	}
-
-	key := makeCacheKey(canonical, req.Options.canonical(opts.Degrade), format)
-	// The fault-injection bypass lives inside the store wrapper (see
-	// resultStore.faultsArmed): while faults are armed, get and put
-	// are no-ops for every backend, so a degraded or injected-failure
-	// artwork is never served to a later clean request and chaos runs
-	// are not masked by earlier hits.
-	if hit, ok := s.cache.get(ctx, o, key); ok {
-		hit.Cached = true
-		hit.ElapsedMs = msSince(t0)
-		// The cached report keeps the original run's timings and
-		// attempts, but the trace must describe *this* request:
-		// root, parse and store.get, nothing recomputed.
-		hit.Report.Trace = o.Snapshot()
-		s.obs.Traces.Inc()
-		s.obs.StageObserve("total", time.Since(t0))
-		return &hit, nil
-	}
-
-	// Cold path. Concurrent identical requests collapse into one
-	// execution: the singleflight leader fetches (from the key's fleet
-	// owner) or computes, followers share its finished response
-	// verbatim — identical bodies, one pipeline run. The collapse is
-	// disabled while faults are armed for the same reason the cache
-	// is: each chaos request must independently meet the injector.
-	if s.cache.faultsArmed() {
-		return s.fetchOrCompute(ctx, t0, o, req, design, opts, format, key)
-	}
-	v, outcome, err := s.flight.Do(ctx, key.String(), func(ctx context.Context) (any, error) {
-		if s.flightHook != nil {
-			s.flightHook()
-		}
-		return s.fetchOrCompute(ctx, t0, o, req, design, opts, format, key)
-	})
-	switch outcome {
-	case singleflight.Shared:
-		s.obs.SFShared.Inc()
-		if err != nil {
-			return nil, err
-		}
-		// Copy the leader's (immutable, shared) response by value so
-		// handler-side mutation stays request-private.
-		resp := *(v.(*ResponseV2))
-		return &resp, nil
-	case singleflight.Canceled:
-		s.obs.SFCanceled.Inc()
-		return nil, err // the follower's own ctx error → 504 via mapError
-	default:
-		s.obs.SFLeader.Inc()
-		if err != nil {
-			return nil, err
-		}
-		return v.(*ResponseV2), nil
-	}
-}
-
-// fetchOrCompute resolves a cold key: if a fleet is configured and a
-// peer owns the key, the request is proxied there (single hop, local
-// fallback); otherwise the pipeline runs locally.
-func (s *Server) fetchOrCompute(ctx context.Context, t0 time.Time, o *obs.Observer,
-	req *Request, design *netlist.Design, opts gen.Options, format string, key cacheKey) (*ResponseV2, error) {
-	if s.fleet.Enabled() && !s.cache.faultsArmed() {
-		if peerHopped(ctx) {
-			// A peer already forwarded this request here: compute
-			// locally no matter who the hash says owns it, so a stale
-			// or disagreeing peer list cannot bounce a request around.
-			s.obs.PeerReceived.Inc()
-		} else if owner := s.fleet.Owner(key.String()); owner != s.fleet.Self() {
-			// The single Owner call above is the routing decision:
-			// ownership is live-set dependent now, so recomputing it
-			// (as OwnedBySelf would) could race a breaker transition
-			// and disagree with the owner actually proxied to.
-			if resp, err, handled := s.proxyToOwner(ctx, o, key.String(), owner, req); handled {
-				return resp, err
-			}
-			// Owner unreachable: the fleet degrades to independent
-			// replicas — compute locally rather than fail.
-			s.obs.PeerFallback.Inc()
-		} else {
-			s.obs.PeerSelf.Inc()
-		}
-	}
-	return s.compute(ctx, t0, o, req, design, opts, format, key)
-}
-
-// proxyToOwner forwards the request to the key's owner and serves its
-// answer verbatim. handled=false means transport-level failure (the
-// caller falls back to local compute); an owner-side 4xx is handled —
-// it is the request's own verdict, reached faster elsewhere.
-func (s *Server) proxyToOwner(ctx context.Context, o *obs.Observer, key, owner string, req *Request) (*ResponseV2, error, bool) {
-	psp := o.StartSpan("peer")
-	psp.SetAttr("owner_len", int64(len(owner))) // attr values are int64; the URL itself rides on the log
-	body, err := json.Marshal(req)
-	if err != nil {
-		psp.EndError(err)
-		return nil, err, true
-	}
-	out, status, err := s.fleet.Proxy(ctx, key, owner, body)
-	if err != nil {
-		psp.EndError(err)
-		if ctx.Err() != nil {
-			// The request deadline expired mid-proxy: surface it
-			// rather than burning the remaining budget locally.
-			return nil, &svcError{status: 504, msg: ctx.Err().Error(), cause: ctx.Err()}, true
-		}
-		return nil, nil, false
-	}
-	if status != 200 {
-		var ep ErrorResponse
-		msg := fmt.Sprintf("owner %s answered %d", owner, status)
-		if jerr := json.Unmarshal(out, &ep); jerr == nil && ep.Error != "" {
-			msg = ep.Error
-		}
-		psp.End()
-		s.obs.PeerProxied.Inc()
-		return nil, &svcError{status: status, msg: msg}, true
-	}
-	var resp ResponseV2
-	if uerr := json.Unmarshal(out, &resp); uerr != nil {
-		psp.EndError(uerr)
-		return nil, nil, false
-	}
-	psp.End()
-	s.obs.PeerProxied.Inc()
-	return &resp, nil, true
-}
-
-// compute runs the generation pipeline locally and fills the store.
-func (s *Server) compute(ctx context.Context, t0 time.Time, o *obs.Observer,
-	req *Request, design *netlist.Design, opts gen.Options, format string, key cacheKey) (*ResponseV2, error) {
-	rep, err := gen.Run(ctx, design, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	if s.cfg.VerifyRouting && rep.Routing != nil {
-		// Machine-check the artwork before serving it: the electrical
-		// connectivity re-derived from the routed wires alone must match
-		// the input netlist. A violation here is a router bug, not a bad
-		// request — it maps to 500 and is never cached.
-		vsp := o.StartSpan("verify")
-		if verr := route.VerifyEquivalence(rep.Routing); verr != nil {
-			endSpanError(vsp, verr)
-			return nil, &svcError{status: 500,
-				msg: fmt.Sprintf("routing equivalence check failed: %v", verr), cause: verr}
-		}
-		vsp.End()
-	}
-
-	rsp := o.StartSpan("render")
-	var rendered string
-	err = resilience.Recover("render", func() error {
-		if ferr := s.cfg.Inject.Fire(resilience.SiteRender); ferr != nil {
-			return ferr
-		}
-		var rerr error
-		rendered, rerr = renderDiagram(rep.Diagram, format)
-		return rerr
-	})
-	if err != nil {
-		endSpanError(rsp, err)
-		return nil, err
-	}
-	rsp.SetAttr("bytes", int64(len(rendered)))
-	rsp.End()
-
-	// One snapshot serves as the response's trace and as the source of
-	// the parse and render timings, so the span is the only stopwatch.
-	trace := o.Snapshot()
-	timings := rep.Timings
-	timings.Parse = trace.Find("parse").Elapsed()
-	timings.Render = trace.Find("render").Elapsed()
-
-	m := rep.Diagram.Metrics()
-	resp := ResponseV2{
-		Name:     design.Name,
-		Format:   format,
-		Diagram:  rendered,
-		Metrics:  m,
-		Unrouted: m.Unrouted,
-		CacheKey: key.String(),
-		Report: Report{
-			Timings:  timings,
-			Attempts: rep.Attempts,
-			Search:   rep.Search,
-			Degraded: degradedReport(rep.Degraded),
-			Trace:    trace,
-		},
-	}
-	resp.ElapsedMs = msSince(t0)
-	s.obs.Traces.Inc()
-	if s.cache.enabled() {
-		s.cache.put(ctx, o, key, resp)
-		// The store keeps no trace: snapshot again, so the served one
-		// shows the put.
-		resp.Report.Trace = o.Snapshot()
-	}
-	s.obs.StageObserve("total", time.Since(t0))
-	return &resp, nil
-}
-
-// peerHopKey marks a request context as already forwarded once by a
-// peer (the handler sets it from cluster.HopHeader).
-type peerHopKey struct{}
-
-func withPeerHop(ctx context.Context) context.Context {
-	return context.WithValue(ctx, peerHopKey{}, true)
-}
-
-func peerHopped(ctx context.Context) bool {
-	v, _ := ctx.Value(peerHopKey{}).(bool)
-	return v
-}
-
-// endSpanError closes a stage span with the right outcome: panic for
-// recovered panics, error otherwise.
-func endSpanError(sp *obs.Span, err error) {
-	if se, ok := resilience.AsStageError(err); ok {
-		sp.EndPanic(se.Cause)
-		return
-	}
-	sp.EndError(err)
-}
-
-func msSince(t time.Time) float64 {
-	return float64(time.Since(t).Microseconds()) / 1000.0
+	return wait()
 }
 
 // maxChainLength caps the synthetic chain workload.
