@@ -13,8 +13,9 @@
 #                      store's value decoder,
 #                      + the observability allocation
 #                      guard, + the store-tier -race battery (LRU /
-#                      disk / singleflight / fleet), + the fleet chaos
-#                      battery under -race (peers blackholed / killed /
+#                      disk / singleflight / fleet / key memo), + the
+#                      fleet chaos battery under -race (peers
+#                      blackholed / killed /
 #                      restored mid-run), + the executor battery under
 #                      -race (every caller of the one executor: sync
 #                      generate, batch items and async jobs — shedding,
@@ -150,17 +151,20 @@ if echo "$BENCH_OUT" | grep '^Benchmark.*Disabled' | grep -qv ' 0 allocs/op'; th
 fi
 
 # Store tier: the pluggable result store (mem/disk/tiered LRU, crash
-# consistency, GC), the singleflight group and the consistent-hash
-# fleet layer must be data-race-free. Tier 2's full -race pass above
-# already covers them; tier 1 runs the store packages plus the
-# service-level restart-survival / stampede / in-process-fleet tests
-# under -race explicitly so a concurrency regression fails with its
-# own headline.
+# consistency, GC), the singleflight group, the consistent-hash fleet
+# layer and the key memo in front of the parse must be data-race-free.
+# Tier 2's full -race pass above already covers them; tier 1 runs the
+# store packages plus the service-level restart-survival / stampede /
+# in-process-fleet tests and the key-memo tests (a repeat skips the
+# parse, memo keys agree with parsed ones, a stale entry recomputes,
+# armed faults still fire, the LRU bound) under -race explicitly so a
+# concurrency regression fails with its own headline.
 if [ -z "${RACE}" ]; then
+	STORE_TESTS='TestRestartSurvival|TestSingleflightCollapse|TestFleet|TestRepeatSkipsParse|TestKeyMemo|TestStaleMemoEntryRecomputes'
 	echo "== store tier: go test -race ./internal/store/..."
 	go test -race ./internal/store/...
-	echo "== store tier: go test -race -run 'TestRestartSurvival|TestSingleflightCollapse|TestFleet' ./internal/service"
-	go test -race -run 'TestRestartSurvival|TestSingleflightCollapse|TestFleet' ./internal/service
+	echo "== store tier: go test -race -run '${STORE_TESTS}' ./internal/service"
+	go test -race -run "${STORE_TESTS}" ./internal/service
 fi
 
 # Fleet chaos battery: three replicas under mixed traffic while peers

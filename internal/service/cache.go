@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"sync/atomic"
 
 	"netart/internal/obs"
 	"netart/internal/resilience"
@@ -28,21 +29,108 @@ const keyVersion = "v1"
 type cacheKey [sha256.Size]byte
 
 // makeCacheKey hashes the canonical request identity. Fields are
-// length-prefixed by separator bytes so concatenations cannot collide.
+// separated by NUL bytes so concatenations cannot collide.
 func makeCacheKey(canonicalDesign, canonicalOptions, format string) cacheKey {
-	h := sha256.New()
-	h.Write([]byte("netartd/" + keyVersion + "\x00"))
-	h.Write([]byte(canonicalDesign))
-	h.Write([]byte{0})
-	h.Write([]byte(canonicalOptions))
-	h.Write([]byte{0})
-	h.Write([]byte(format))
-	var k cacheKey
-	h.Sum(k[:0])
-	return k
+	return sum256(false, "netartd/"+keyVersion+"\x00", canonicalDesign, "\x00", canonicalOptions, "\x00", format)
 }
 
 func (k cacheKey) String() string { return hex.EncodeToString(k[:]) }
+
+// sum256 is the SHA-256 of parts in order, each part preceded by its
+// length as 8 big-endian bytes when lengths is set. The parts reach
+// the hasher through a stack chunk, so hashing copies nothing to the
+// heap: []byte(s) of more than 32 bytes would be a heap copy, and the
+// chunk stays on the stack only while h.Write is devirtualized, which
+// holds inside the function that calls sha256.New.
+func sum256(lengths bool, parts ...string) (sum [sha256.Size]byte) {
+	h := sha256.New()
+	var chunk [512]byte
+	for _, p := range parts {
+		if lengths {
+			binary.BigEndian.PutUint64(chunk[:8], uint64(len(p)))
+			h.Write(chunk[:8])
+		}
+		for len(p) > 0 {
+			n := copy(chunk[:], p)
+			h.Write(chunk[:n])
+			p = p[n:]
+		}
+	}
+	h.Sum(sum[:0])
+	return sum
+}
+
+// requestDigest identifies a request's key-defining text: the fields
+// that choose its design, the canonical option string and the format.
+// It stands in for the cache key in the key memo, so it needs the same
+// collision resistance: a collision would serve one design's artwork
+// for another.
+type requestDigest [sha256.Size]byte
+
+// digestRequest hashes the fields of req that decide its design, with
+// the canonical options (the server's degrade default applied) and the
+// resolved format. Each field is length-prefixed, so text cannot move
+// between fields unnoticed.
+func digestRequest(req *Request, options, format string) requestDigest {
+	var chain [8]byte
+	binary.BigEndian.PutUint64(chain[:], uint64(req.ChainLength))
+	return sum256(true, req.Workload, string(chain[:]), req.Name, req.Calls, req.Netlist, req.IO, options, format)
+}
+
+// keyMemoEntries bounds the key memo: five times the 200-key hot set
+// of perfbench's hot-mix workload.
+const keyMemoEntries = 1024
+
+// keyMemo maps a request digest to the cache key that request's text
+// parsed to and its design's module and net counts, so a byte-identical
+// repeat finds its key without building its design. It is a store.Mem
+// without a recorder, made at the first insert: a daemon whose store
+// is off never allocates it.
+type keyMemo struct {
+	mem atomic.Pointer[store.Mem]
+}
+
+// memoEntry is what the key memo holds for one digest.
+type memoEntry struct {
+	key           cacheKey
+	modules, nets int
+}
+
+// memoValueLen is an encoded memoEntry: the key, then the two counts
+// as 8 big-endian bytes each.
+const memoValueLen = sha256.Size + 16
+
+// get returns the entry for d, promoting it to most recently used.
+func (m *keyMemo) get(d requestDigest) (memoEntry, bool) {
+	mem := m.mem.Load()
+	if mem == nil {
+		return memoEntry{}, false
+	}
+	val, ok, _ := mem.Get(context.Background(), string(d[:]))
+	if !ok || len(val) != memoValueLen {
+		return memoEntry{}, false
+	}
+	var e memoEntry
+	copy(e.key[:], val)
+	e.modules = int(binary.BigEndian.Uint64(val[sha256.Size:]))
+	e.nets = int(binary.BigEndian.Uint64(val[sha256.Size+8:]))
+	return e, true
+}
+
+// put records e under d, evicting the least recently used entry beyond
+// keyMemoEntries.
+func (m *keyMemo) put(d requestDigest, e memoEntry) {
+	mem := m.mem.Load()
+	if mem == nil {
+		m.mem.CompareAndSwap(nil, store.NewMem(keyMemoEntries, nil))
+		mem = m.mem.Load()
+	}
+	val := make([]byte, memoValueLen)
+	copy(val, e.key[:])
+	binary.BigEndian.PutUint64(val[sha256.Size:], uint64(e.modules))
+	binary.BigEndian.PutUint64(val[sha256.Size+8:], uint64(e.nets))
+	_ = mem.Put(context.Background(), string(d[:]), val)
+}
 
 // resultStore adapts the pluggable store.Store tier to the service:
 // it owns the ResponseV2 ↔ bytes serialization, the request-level
@@ -58,6 +146,9 @@ type resultStore struct {
 	// Request-level event counters shared with /metrics and /v1/stats.
 	hits   *obs.Counter
 	misses *obs.Counter
+
+	// memo is consulted and filled only while the store is enabled.
+	memo keyMemo
 }
 
 // newResultStore wraps backend (which may be nil = caching disabled).

@@ -77,6 +77,29 @@ func TestCacheKeysStable(t *testing.T) {
 	}
 }
 
+// TestCacheKeyCopiesNothing: hashing a cache key, or the key memo's
+// request digest, copies none of the hashed text to the heap, however
+// long it is ([]byte(s) of more than 32 bytes would).
+func TestCacheKeyCopiesNothing(t *testing.T) {
+	s := New(Config{Workers: 1, CacheEntries: 0})
+	defer s.Close()
+	_, canonical, err := s.resolveDesign(&Request{Workload: "life"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(canonical) < 4096 {
+		t.Fatalf("life's canonical form is %d bytes; the check wants one over 4 KB", len(canonical))
+	}
+	options := GenOptions{}.canonical(gen.DegradeNone)
+	if n := testing.AllocsPerRun(100, func() { makeCacheKey(canonical, options, FormatSVG) }); n != 0 {
+		t.Errorf("makeCacheKey allocates %v times per key", n)
+	}
+	req := inlineRequest(t, workload.Random(40, 1), FormatSVG)
+	if n := testing.AllocsPerRun(100, func() { digestRequest(&req, options, FormatSVG) }); n != 0 {
+		t.Errorf("digestRequest allocates %v times per digest", n)
+	}
+}
+
 // rootStages lists the stages directly under a response's trace root,
 // in order.
 func rootStages(t *testing.T, r *ResponseV2) []string {

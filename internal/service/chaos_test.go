@@ -437,6 +437,31 @@ func TestBatchNoRetryOnPermanent(t *testing.T) {
 	}
 }
 
+// TestBatchNoRetryOnOwnTimeout: an item that runs out of its own
+// timeout_ms while the batch is alive answers 504 at once. A retry
+// would get the same budget and time out again.
+func TestBatchNoRetryOnOwnTimeout(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2, CacheEntries: 0})
+
+	life := Request{Workload: "life", TimeoutMs: 5,
+		Options: GenOptions{PartSize: 5, BoxSize: 5, ModSpacing: 1, BoxSpacing: 2, PartSpacing: 3}}
+	resp, body := postJSON(t, ts.URL+"/v2/batch", BatchRequest{Requests: []Request{life}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status = %d: %s", resp.StatusCode, body)
+	}
+	var out BatchResponseV2
+	decode(t, body, &out)
+	if len(out.Results) != 1 {
+		t.Fatalf("batch results = %d, want 1", len(out.Results))
+	}
+	if item := out.Results[0]; item.Status != http.StatusGatewayTimeout || item.Attempts != 1 {
+		t.Errorf("item status %d after %d attempts, want 504 after 1 (%s)", item.Status, item.Attempts, item.Error)
+	}
+	if st := s.Stats(); st.Retries != 0 || st.Timeouts != 1 {
+		t.Errorf("stats: %d retries, %d timeouts; want 0 and 1", st.Retries, st.Timeouts)
+	}
+}
+
 // TestInjectorBypassesCache: with faults armed the cache must not
 // serve (or store) results, so a degraded artwork can never leak into
 // a later clean run.

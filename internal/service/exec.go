@@ -24,12 +24,14 @@ import (
 // run under and in what they do with the verdict.
 
 // call is one admitted request: the request plus the format and the
-// pipeline options admit resolved from it, then the outcome its task
-// leaves for settle.
+// pipeline options admit resolved from it, the design its parse stage
+// built (none when the key memo supplied its key), then the outcome its
+// task leaves for settle.
 type call struct {
 	req    *Request
 	format string
 	opts   gen.Options
+	design *netlist.Design
 
 	ran  bool
 	resp *ResponseV2
@@ -201,34 +203,57 @@ func (s *Server) process(ctx context.Context, c *call, o *obs.Observer, progress
 	c.opts.Observer = o
 	c.opts.Progress = progress
 
-	// Parse stage: obtain a request-private design plus its canonical
-	// serialization (the cache-key half derived from the network).
+	// Parse stage: the request's cache key and its design's counts.
+	// While the store is enabled, a byte-identical repeat finds them in
+	// the key memo and builds no design (DESIGN §5a). Anything else
+	// builds its design here, and it waits in c for compute.
 	psp := o.StartSpan("parse")
+	options := c.req.Options.canonical(c.opts.Degrade)
 	var (
-		design    *netlist.Design
-		canonical string
+		p       memoEntry
+		digest  requestDigest
+		enabled bool
+		memo    int64 // 1 when the memo held p
 	)
 	err := resilience.Recover("parse", func() error {
 		if ferr := s.cfg.Inject.Fire(resilience.SiteParse); ferr != nil {
 			return ferr
 		}
-		var perr error
-		design, canonical, perr = s.resolveDesign(c.req)
-		return perr
+		if enabled = s.cache.enabled(); enabled {
+			digest = digestRequest(c.req, options, c.format)
+			var ok bool
+			if p, ok = s.cache.memo.get(digest); ok {
+				memo = 1
+				return nil
+			}
+		}
+		design, canonical, err := s.resolveDesign(c.req)
+		if err != nil {
+			return err
+		}
+		c.design = design
+		p = memoEntry{makeCacheKey(canonical, options, c.format), len(design.Modules), len(design.Nets)}
+		return nil
 	})
 	if err != nil {
 		endSpanError(psp, err)
 		return nil, err
 	}
-	psp.SetAttr("modules", int64(len(design.Modules)))
-	psp.SetAttr("nets", int64(len(design.Nets)))
+	psp.SetAttr("modules", int64(p.modules))
+	psp.SetAttr("nets", int64(p.nets))
+	psp.SetAttr("memo", memo)
 	psp.End()
 	// Authoritative resource guard, now that real counts exist.
-	if err := s.cfg.guards().CheckCounts(len(design.Modules), len(design.Nets)); err != nil {
+	if err := s.cfg.guards().CheckCounts(p.modules, p.nets); err != nil {
 		return nil, err
 	}
+	// The memo learns a key only from a parse the guards admitted, and
+	// fills exactly when the store does: not if faults were armed since.
+	if enabled && memo == 0 && s.cache.enabled() {
+		s.cache.memo.put(digest, p)
+	}
 
-	key := makeCacheKey(canonical, c.req.Options.canonical(c.opts.Degrade), c.format)
+	key := p.key
 	// The fault-injection bypass lives inside the store wrapper (see
 	// resultStore.faultsArmed): while faults are armed, get and put
 	// are no-ops for every backend, so a degraded or injected-failure
@@ -250,13 +275,13 @@ func (s *Server) process(ctx context.Context, c *call, o *obs.Observer, progress
 	// disabled while faults are armed for the same reason the cache
 	// is: each chaos request must independently meet the injector.
 	if s.cache.faultsArmed() {
-		return s.fetchOrCompute(ctx, o, c, design, key)
+		return s.fetchOrCompute(ctx, o, c, key)
 	}
 	v, outcome, err := s.flight.Do(ctx, key.String(), func(ctx context.Context) (any, error) {
 		if s.flightHook != nil {
 			s.flightHook()
 		}
-		return s.fetchOrCompute(ctx, o, c, design, key)
+		return s.fetchOrCompute(ctx, o, c, key)
 	})
 	switch outcome {
 	case singleflight.Shared:
@@ -282,17 +307,44 @@ func (s *Server) process(ctx context.Context, c *call, o *obs.Observer, progress
 
 // fetchOrCompute resolves a cold key: from the key's fleet owner when
 // a peer owns it (fleet.go), else by running the pipeline here.
-func (s *Server) fetchOrCompute(ctx context.Context, o *obs.Observer, c *call,
-	design *netlist.Design, key cacheKey) (*ResponseV2, error) {
+func (s *Server) fetchOrCompute(ctx context.Context, o *obs.Observer, c *call, key cacheKey) (*ResponseV2, error) {
 	if resp, err, ok := s.fetchFromOwner(ctx, o, c.req, key); ok {
 		return resp, err
 	}
-	return s.compute(ctx, o, c, design, key)
+	return s.compute(ctx, o, c, key)
+}
+
+// pipelineDesign returns the design compute runs the pipeline on. It
+// must be this request's alone, because placement mutates a design
+// through its pointers, so a builtin's shared startup parse is cloned.
+// When the key memo supplied the key, the parse stage built no design:
+// the request's text is parsed now, as the span "parse.late".
+func (s *Server) pipelineDesign(o *obs.Observer, c *call) (*netlist.Design, error) {
+	if c.design == nil {
+		sp := o.StartSpan("parse.late")
+		err := resilience.Recover("parse", func() error {
+			var err error
+			c.design, _, err = s.resolveDesign(c.req)
+			return err
+		})
+		if err != nil {
+			endSpanError(sp, err)
+			return nil, err
+		}
+		sp.End()
+	}
+	if _, ok := s.builtins[c.req.Workload]; ok {
+		return c.design.Clone(), nil
+	}
+	return c.design, nil
 }
 
 // compute runs the generation pipeline locally and fills the store.
-func (s *Server) compute(ctx context.Context, o *obs.Observer, c *call,
-	design *netlist.Design, key cacheKey) (*ResponseV2, error) {
+func (s *Server) compute(ctx context.Context, o *obs.Observer, c *call, key cacheKey) (*ResponseV2, error) {
+	design, err := s.pipelineDesign(o, c)
+	if err != nil {
+		return nil, err
+	}
 	rep, err := gen.Run(ctx, design, c.opts)
 	if err != nil {
 		return nil, err
@@ -333,7 +385,7 @@ func (s *Server) compute(ctx context.Context, o *obs.Observer, c *call,
 	// request's trace and clock unless a store put follows.
 	trace := o.Snapshot()
 	timings := rep.Timings
-	timings.Parse = trace.Find("parse").Elapsed()
+	timings.Parse = trace.Find("parse").Elapsed() + trace.Find("parse.late").Elapsed()
 	timings.Render = trace.Find("render").Elapsed()
 
 	m := rep.Diagram.Metrics()

@@ -202,24 +202,14 @@ func statusOf(err error) int {
 }
 
 // retryableBatch classifies a batch-item failure: retry injected
-// faults and injected panics (the error chain says Transient), shed
-// items (429 — the queue may have drained by the next attempt), and
-// in-pool timeouts whose parent request is still alive. Permanent
-// failures — bad requests, resource caps, genuine panics — fail the
-// item immediately.
-func retryableBatch(parent interface{ Err() error }) func(error) bool {
-	return func(err error) bool {
-		if resilience.IsTransient(err) {
-			return true
-		}
-		switch statusOf(err) {
-		case http.StatusTooManyRequests:
-			return true
-		case http.StatusGatewayTimeout:
-			return parent.Err() == nil
-		}
-		return false
-	}
+// faults and injected panics (the error chain says Transient) and shed
+// items (429 — the queue may have drained by the next attempt).
+// Permanent failures — bad requests, resource caps, genuine panics —
+// fail the item immediately, and so does a 504: while the batch is
+// alive it means the item's own timeout_ms ran out, and a retry would
+// get the same budget.
+func retryableBatch(err error) bool {
+	return resilience.IsTransient(err) || statusOf(err) == http.StatusTooManyRequests
 }
 
 // runBatch runs each item as one GenerateV2 call and reports per-item
@@ -240,7 +230,6 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request) ([]BatchItemV2
 		return nil, badRequest("batch carries %d requests (max %d)", len(batch.Requests), maxBatchItems)
 	}
 	ctx := r.Context()
-	classify := retryableBatch(ctx)
 	slots := make(chan struct{}, s.cfg.Workers)
 	results := make([]BatchItemV2, len(batch.Requests))
 	var wg sync.WaitGroup
@@ -249,7 +238,7 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request) ([]BatchItemV2
 		go func(i int) {
 			defer wg.Done()
 			var resp *ResponseV2
-			attempts, err := resilience.Retry(ctx, batchRetry, classify, rand.Float64,
+			attempts, err := resilience.Retry(ctx, batchRetry, retryableBatch, rand.Float64,
 				func(attempt int) error {
 					if attempt > 1 {
 						s.obs.Retries.Inc()

@@ -218,8 +218,8 @@ type Server struct {
 
 	// builtins maps workload names to designs parsed and canonicalized
 	// once at startup. Placement mutates designs through their
-	// pointers, so requests never touch these directly: process() hands
-	// a Clone to the pipeline (see netlist.(*Design).Clone).
+	// pointers, so the pipeline never runs on these directly: compute()
+	// hands it a Clone (see netlist.(*Design).Clone).
 	builtins map[string]builtin
 
 	// testHook, when non-nil, runs inside every pooled task before the
@@ -509,10 +509,11 @@ func (s *Server) GenerateV2(ctx context.Context, req *Request) (*ResponseV2, err
 // maxChainLength caps the synthetic chain workload.
 const maxChainLength = 1024
 
-// resolveDesign turns a request into a private *netlist.Design plus
-// its canonical serialization. Built-in workloads are cloned from the
-// startup parse; inline Appendix A text is parsed against the builtin
-// library.
+// resolveDesign turns a request into its *netlist.Design plus the
+// design's canonical serialization. A built-in workload's design is
+// the startup parse, which every request shares: the pipeline runs on
+// a clone of it (see compute). A chain is built, and inline Appendix A
+// text is parsed against the builtin library, for this request alone.
 func (s *Server) resolveDesign(req *Request) (*netlist.Design, string, error) {
 	hasInline := req.Netlist != "" || req.Calls != "" || req.IO != ""
 	switch {
@@ -539,9 +540,7 @@ func (s *Server) resolveDesign(req *Request) (*netlist.Design, string, error) {
 			sort.Strings(names)
 			return nil, "", badRequest("unknown workload %q (%s)", req.Workload, strings.Join(names, ", "))
 		}
-		// The base is shared across requests and placement mutates
-		// through design pointers: clone before generating.
-		return base.design.Clone(), base.canonical, nil
+		return base.design, base.canonical, nil
 	case req.Netlist == "" || req.Calls == "":
 		return nil, "", badRequest("request needs either workload or both netlist and calls")
 	default:
